@@ -89,6 +89,13 @@ def _build_spec(cfg: dict, seed: int) -> signals.MultisineSpec:
     return signals.random_phases(spec, seed)
 
 
+def _require_odd_grid(kind: str, command: str) -> None:
+    if kind not in nonparam.ODD_GRID_KINDS:
+        raise ConfigError(f"{command} classifies lines, which needs an odd excitation grid "
+                          f"(grid_kind {' or '.join(map(repr, nonparam.ODD_GRID_KINDS))}), "
+                          f"got {kind!r}")
+
+
 def cmd_design(config: dict, out: Path, seed_override: int | None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "excitation", "seed", "num_periods"})
@@ -188,6 +195,7 @@ def cmd_analyze(config: dict, out: Path, seed_override: int | None) -> None:
                          "threshold_db", "smoothing_window"})
     rec = read_signal_record(_require(config, "record"))
     spec = signals.MultisineSpec.from_dict(read_json(_require(config, "spec")))
+    _require_odd_grid(spec.grid_kind, "analyze")
     stats = nonparam.sample_statistics(rec, int(config.get("discard_periods", 0)))
     report = nonparam.classify_lines(spec, stats)
     rows = report.to_rows()
@@ -380,6 +388,8 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
     if seed is None:
         raise ConfigError("missing required config field 'seed'")
     seed = int(seed)
+    excitation = _require(config, "excitation", dict)
+    _require_odd_grid(excitation.get("grid_kind", "full"), "pipeline")
     manifest_path = out / "manifest.json"
     manifest = read_json(manifest_path) if (resume and manifest_path.exists()) else {}
 
@@ -400,7 +410,6 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
                           "outputs": [str(Path(name) / o) for o in outputs]}
         write_json(manifest_path, manifest)
 
-    excitation = _require(config, "excitation", dict)
     num_periods = int(config.get("num_periods", 8))
     discard = int(config.get("discard_periods", 2))
 

@@ -101,11 +101,6 @@ def eval_decoupled(d: DecoupledFunction, p: np.ndarray) -> np.ndarray:
     return q[0] if single else q
 
 
-def _branch_values(d: DecoupledFunction, pts: np.ndarray) -> np.ndarray:
-    x = pts @ d.v
-    return np.stack([np.polyval(c[::-1], x[:, i]) for i, c in enumerate(d.branches)], axis=1)
-
-
 @dataclass(frozen=True)
 class CpdResult:
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -365,7 +360,9 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
     The reported residuals use a held-out cloud.  ``weight`` is per-output; a
     zero weight removes that output from the objective exactly.  The best of
     ``restarts + 1`` seeded attempts is returned; divergence inside LM just
-    returns the best iterate.
+    returns the best iterate.  ``converged`` and ``cpd_error`` are those of
+    the CPD that initialized the winning attempt, so a rank the map cannot
+    reach exactly reports ``converged=False``.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -382,7 +379,7 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
     if len(active) == 0:
         raise ValueError("at least one output must carry positive weight")
     f_active = PolyMap(f.basis, f.coefficients[active])
-    best: tuple[float, DecoupledFunction] | None = None
+    best: tuple[float, DecoupledFunction, DecoupleResult] | None = None
     for attempt in range(restarts + 1):
         init = decouple_exact(f_active, r, num_points=num_points, seed=seed + 101 * attempt,
                               domain=domain, branch_degree=degree, points=points)
@@ -391,8 +388,9 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
         start = DecoupledFunction(w_full, init.function.v, init.function.branches)
         cost, func = _lm_refine(start, pts, f_vals, w_out, max_iterations)
         if best is None or cost < best[0]:
-            best = (cost, func)
-    func = canonicalize(best[1])
+            best = (cost, func, init)
+    _, func, init = best
+    func = canonicalize(func)
     held = _test_cloud(seed + 9999, num_points, f.n_vars, domain, points)
     resid = (eval_polymap(f, held) - eval_decoupled(func, held)) * np.sqrt(w_out)
     active = w_out > 0
@@ -401,8 +399,8 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
         function=func,
         residual_max=float(np.max(np.abs(resid_active))) if resid_active.size else 0.0,
         residual_rms=float(np.sqrt(np.mean(resid_active**2))) if resid_active.size else 0.0,
-        converged=True,
-        cpd_error=np.nan,
+        converged=init.converged,
+        cpd_error=init.cpd_error,
     )
 
 

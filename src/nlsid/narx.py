@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import isfinite
+from operator import mul
 
 import numpy as np
 
-from .polybasis import PolyMap, enumerate_monomials, eval_monomials
+from .polybasis import MonomialPlan, PolyMap, enumerate_monomials, eval_monomials
 from .signals import SignalRecord
 
 DIVERGENCE_LIMIT = 1e6
@@ -181,13 +183,25 @@ def simulate_free_run(model: NarxModel, u: np.ndarray,
     # y_init occupies the na samples immediately preceding the first simulated one
     if model.na > 0:
         y[start - model.na : start] = y_init
-    coeffs = model.poly.coefficients[0]
     basis = model.poly.basis
-    for t in range(start, n):
-        phi = model.regressors(y, u, np.array([t]))[0]
-        val = float(eval_monomials(basis, phi) @ coeffs)
-        if not np.isfinite(val) or abs(val) > DIVERGENCE_LIMIT:
+    plan = MonomialPlan(basis.n_vars, basis.degree_max)
+    row = np.zeros(plan.size)
+    row[plan.positions(basis)] = model.poly.coefficients[0]
+    row, levels = row.tolist(), plan.levels
+    # input columns of phi(t) for every simulated t; the output lags are fed back
+    u_cols = model.regressors(y, u, np.arange(start, n))[:, model.na :].tolist()
+    y_sim = y.tolist()
+    lags = y_init[::-1].tolist()
+    for t, u_col in enumerate(u_cols, start):
+        phi = lags + u_col
+        table = [1.0, *phi]
+        for level in levels:
+            table += [table[p] * phi[v] for p, v in level]
+        val = sum(map(mul, row, table))
+        if not isfinite(val) or abs(val) > DIVERGENCE_LIMIT:
+            y = np.array(y_sim)
             y[t:] = y[t - 1]
             return FreeRunResult(y, True, t)
-        y[t] = val
-    return FreeRunResult(y, False, None)
+        y_sim[t] = val
+        lags = [val, *lags][: model.na]
+    return FreeRunResult(np.array(y_sim), False, None)

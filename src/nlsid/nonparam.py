@@ -19,6 +19,7 @@ from .signals import MultisineSpec, SignalRecord, split_periods
 
 DISTORTION_THRESHOLD_DB = 6.0
 MIN_RELIABLE_PERIODS = 8
+ODD_GRID_KINDS = ("odd_only", "odd_random_skip")
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def classify_lines(spec: MultisineSpec, stats: LineStatistics) -> DistortionRepo
     Requires an odd excitation grid; on a full grid there are no detection
     lines and the even/odd separation argument collapses.
     """
-    if spec.grid_kind not in ("odd_only", "odd_random_skip"):
+    if spec.grid_kind not in ODD_GRID_KINDS:
         raise ValueError("line classification needs an odd excitation grid "
                          "(grid_kind 'odd_only' or 'odd_random_skip')")
     if stats.num_periods < MIN_RELIABLE_PERIODS:

@@ -14,14 +14,17 @@ models on data, mirroring the model-pruning workflow.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass, field, replace
+from math import isfinite
+from operator import mul
 
 import numpy as np
 from scipy import signal as sp_signal
 
 from .bla import BlaModel
-from .decouple import DecoupledFunction, eval_decoupled
-from .polybasis import (PolyMap, enumerate_monomials, eval_monomials,
+from .decouple import DecoupledFunction
+from .polybasis import (MonomialPlan, PolyMap, enumerate_monomials, eval_monomials,
                         monomial_jacobian)
 from .signals import SignalRecord
 
@@ -129,37 +132,66 @@ class PnlssSimResult:
     divergence_index: int | None
 
 
-def _eval_state_fn(e, z: np.ndarray) -> np.ndarray:
-    if isinstance(e, PolyMap):
-        return e.coefficients @ eval_monomials(e.basis, z)
-    return eval_decoupled(e, z)
-
-
 def simulate_pnlss(model: PnlssModel, u: np.ndarray,
                    x0: np.ndarray | None = None) -> PnlssSimResult:
-    """Simulate the model; divergence truncates with a status, not an error."""
+    """Simulate the model; divergence truncates with a status, not an error.
+
+    The loop steps on Python floats.  With ``z = (x, u)``, the output and
+    every state update are each one dot product with the table
+    ``[1, z, monomials of z]`` of a :class:`MonomialPlan`; a decoupled E
+    appends its branch outputs ``g_i(v_i . z)`` to the table, one Horner
+    pass per branch, and W joins the state rows.
+    """
     u = np.asarray(u, dtype=float)
     n = model.state_dim
     t_len = len(u)
-    x = model.x0.copy() if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    xs = np.zeros((t_len, n))
-    y = np.zeros(t_len)
+    x = (model.x0 if x0 is None else np.asarray(x0, dtype=float).reshape(n)).tolist()
     e_map, f_map = model.e_map, model.f_map
-    for t in range(t_len):
-        xs[t] = x
-        z = np.append(x, u[t])
-        yt = float(model.c @ x + model.d * u[t])
-        if f_map is not None:
-            yt += float(eval_monomials(f_map.basis, z) @ f_map.coefficients[0])
-        y[t] = yt
-        if not np.isfinite(yt) or abs(yt) > DIVERGENCE_LIMIT or np.max(np.abs(x)) > DIVERGENCE_LIMIT:
-            y[t:] = y[t - 1] if t > 0 else 0.0
-            return PnlssSimResult(y, xs, True, t)
-        x_new = model.a @ x + model.b * u[t]
-        if e_map is not None:
-            x_new = x_new + _eval_state_fn(e_map, z)
-        x = x_new
-    return PnlssSimResult(y, xs, False, None)
+    poly_degrees = [m.basis.degree_max for m in (e_map, f_map) if isinstance(m, PolyMap)]
+    plan = MonomialPlan(n + 1, max(poly_degrees, default=1))
+    decoupled = isinstance(e_map, DecoupledFunction)
+    x_rows = np.zeros((n, plan.size + (e_map.r if decoupled else 0)))
+    x_rows[:, 1 : n + 2] = np.column_stack([model.a, model.b])
+    y_row = np.zeros(plan.size)
+    y_row[1 : n + 2] = [*model.c, model.d]
+    branches = []
+    if isinstance(e_map, PolyMap):
+        x_rows[:, plan.positions(e_map.basis)] += e_map.coefficients
+    elif decoupled:
+        x_rows[:, plan.size :] = e_map.w
+        branches = [(v, c[::-1].tolist()) for v, c in zip(e_map.v.T.tolist(), e_map.branches)]
+    if f_map is not None:
+        y_row[plan.positions(f_map.basis)] += f_map.coefficients[0]
+    x_rows, y_row, levels = x_rows.tolist(), y_row.tolist(), plan.levels
+    ys, xs = array("d"), array("d")  # raw doubles: no float object kept per sample
+    diverged = False
+    for ut in u.tolist():
+        xs.extend(x)
+        z = [*x, ut]
+        table = [1.0, *z]
+        for level in levels:
+            table += [table[p] * z[v] for p, v in level]
+        yt = sum(map(mul, y_row, table))
+        ys.append(yt)
+        if not isfinite(yt) or abs(yt) > DIVERGENCE_LIMIT or max(map(abs, x)) > DIVERGENCE_LIMIT:
+            diverged = True
+            break
+        for v, coeffs in branches:
+            s = sum(map(mul, v, z))
+            g = 0.0
+            for c in coeffs:
+                g = g * s + c
+            table.append(g)
+        x = [sum(map(mul, row, table)) for row in x_rows]
+    y = np.zeros(t_len)
+    x_traj = np.zeros((t_len, n))
+    y[: len(ys)] = ys
+    x_traj[: len(ys)] = np.frombuffer(xs).reshape(-1, n)
+    if diverged:
+        t = len(ys) - 1
+        y[t:] = y[t - 1] if t > 0 else 0.0
+        return PnlssSimResult(y, x_traj, True, t)
+    return PnlssSimResult(y, x_traj, False, None)
 
 
 def _rational_fit_sk(omega: np.ndarray, g: np.ndarray, order: int,

@@ -3,7 +3,9 @@
 A :class:`MonomialBasis` enumerates exponent vectors in a fixed graded
 lexicographic order so that coefficient vectors serialize reproducibly.
 :class:`PolyMap` couples a basis with a coefficient matrix and provides
-vectorized evaluation and analytic Jacobians.
+vectorized evaluation and analytic Jacobians.  :class:`MonomialPlan` builds
+every monomial of one point from earlier ones, for the per-sample simulation
+loops.
 """
 
 from __future__ import annotations
@@ -134,6 +136,49 @@ def monomial_jacobian(basis: MonomialBasis, x: np.ndarray) -> np.ndarray:
                 term *= pow_tab[:, i, exps[:, i]]
         jac[:, :, j] = term
     return jac[0] if single else jac
+
+
+class MonomialPlan:
+    """Evaluation plan for every monomial in ``n_vars`` variables up to
+    ``degree_max``, for per-sample loops over Python floats.
+
+    The monomial table of a point ``z`` starts as ``[1, z_0, ..., z_{n-1}]``
+    (degrees 0 and 1, whatever ``degree_max``); each level ``d = 2..degree_max``
+    then appends ``table[parent] * z[var]`` for its ``(parent, var)`` pairs,
+    ``parent`` being an entry of degree ``d - 1``.  Every monomial appears
+    once, so a polynomial is one dot product of its coefficients, laid out by
+    :meth:`positions`, with the table.  The plan for a lower degree is a
+    prefix of the plan for a higher one.
+    """
+
+    def __init__(self, n_vars: int, degree_max: int):
+        self.n_vars = n_vars
+        self.degree_max = degree_max
+        exps = [(0,) * n_vars] + [tuple(int(i == v) for i in range(n_vars))
+                                  for v in range(n_vars)]
+        prev = range(1, n_vars + 1)
+        levels = []
+        for _ in range(2, degree_max + 1):
+            # extend each parent by variables at or after its last one, so
+            # each exponent vector is generated by exactly one (parent, var)
+            level = [(p, v) for p in prev
+                     for v in range(max(i for i, e in enumerate(exps[p]) if e), n_vars)]
+            start = len(exps)
+            exps += [exps[p][:v] + (exps[p][v] + 1,) + exps[p][v + 1:] for p, v in level]
+            levels.append(tuple(level))
+            prev = range(start, len(exps))
+        self.levels = tuple(levels)
+        self._index = {e: k for k, e in enumerate(exps)}
+
+    @property
+    def size(self) -> int:
+        return len(self._index)
+
+    def positions(self, basis: MonomialBasis) -> list[int]:
+        """Table position of each monomial of ``basis``, in basis order."""
+        if basis.n_vars != self.n_vars or basis.degree_max > self.degree_max:
+            raise ValueError("basis does not fit the plan")
+        return [self._index[e] for e in basis.exponents]
 
 
 @dataclass(frozen=True)

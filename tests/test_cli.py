@@ -119,6 +119,25 @@ def test_simulate_then_analyze_even_verdict(tmp_path):
     assert (an_out / "distortion.csv").exists()
 
 
+def test_analyze_full_grid_exit_2(tmp_path, capsys):
+    sim_cfg = write_config(tmp_path, "sim.json", simulate_config(
+        {"type": "static", "coefficients": [0.0, 1.0, 0.15]},
+        excitation={"fs": 128.0, "period_samples": 256, "grid_kind": "full",
+                    "k_max": 51, "rms": 0.4},
+    ))
+    sim_out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", sim_cfg, "--out", str(sim_out)) == 0
+    an_cfg = write_config(tmp_path, "an.json", {
+        "schema_version": 1,
+        "record": str(sim_out / "record.csv"),
+        "spec": str(sim_out / "multisine.json"),
+    })
+    an_out = tmp_path / "an"
+    assert run_cli("analyze", "--config", an_cfg, "--out", str(an_out)) == 2
+    assert "odd excitation grid" in capsys.readouterr().err
+    assert not (an_out / "analysis.json").exists()
+
+
 def test_simulate_divergence_exit_4(tmp_path):
     cfg = write_config(tmp_path, "sim.json", simulate_config(
         {"type": "duffing", "c": 0.001, "k1": 1.0, "k3": -50.0, "b": 1.0,
@@ -267,6 +286,15 @@ def test_pipeline_rerun_byte_identical_reports(tmp_path):
     assert run_cli("pipeline", "--config", cfg, "--out", str(out_b)) == 0
     for rel in ("pipeline_summary.json", "analyze/analysis.json", "bla/bla.json"):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
+
+
+def test_pipeline_full_grid_exit_2_before_any_stage(tmp_path, capsys):
+    cfg_dict = dict(PIPE_CFG, excitation=dict(PIPE_CFG["excitation"], grid_kind="full"))
+    cfg = write_config(tmp_path, "pipe.json", cfg_dict)
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "--config", cfg, "--out", str(out)) == 2
+    assert "odd excitation grid" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch, capsys):

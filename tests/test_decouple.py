@@ -157,6 +157,19 @@ def test_approx_residual_nonincreasing_in_r():
     assert all(residuals[i + 1] <= residuals[i] * (1 + 1e-6) for i in range(3))
 
 
+def test_approx_reports_cpd_that_misses_the_rank():
+    # a generic rank-4 map cannot be decoupled exactly with one branch
+    rng = np.random.default_rng(7)
+    f = to_polymap(DecoupledFunction(rng.normal(size=(2, 4)), rng.normal(size=(3, 4)),
+                                     tuple(rng.normal(size=4) for _ in range(4))))
+    res = decouple_approx(f, r=1, branch_degree=3, num_points=100, seed=8, restarts=0)
+    assert res.converged is False
+    assert np.isfinite(res.cpd_error) and res.cpd_error > 1e-8
+    at_rank = decouple_approx(f, r=4, branch_degree=3, num_points=100, seed=8, restarts=0)
+    assert at_rank.converged is True
+    assert at_rank.cpd_error <= 1e-8
+
+
 def test_approx_zero_weight_excludes_output():
     # a zero weight removes that output from the objective exactly: replacing
     # its polynomial by garbage must not change the result at all

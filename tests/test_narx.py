@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from nlsid.narx import (NarxModel, equation_error_cost, fit_narx,
                         predict_one_step, simulate_free_run)
+from nlsid.polybasis import PolyMap, enumerate_monomials, eval_monomials
 from nlsid.signals import SignalRecord, design_multisine, flat_amplitude_spec, full_grid, random_phases
 from nlsid.simulators import NoiseSpec, default_duffing, simulate_duffing, steady_state_record
 
@@ -130,6 +133,83 @@ def test_free_run_linear_matches_filter_oracle():
     free = simulate_free_run(model, u, y_init=y[:2])
     assert not free.diverged
     assert np.max(np.abs(free.y - y)) < 1e-9
+
+
+def reference_free_run(model, u, y_init):
+    """One numpy step at a time: the loop the scalar free run must match."""
+    u = np.asarray(u, dtype=float)
+    y = np.zeros(len(u))
+    start = model.max_lag
+    if model.na > 0:
+        y[start - model.na : start] = y_init
+    for t in range(start, len(u)):
+        phi = model.regressors(y, u, np.array([t]))[0]
+        val = float(eval_monomials(model.poly.basis, phi) @ model.poly.coefficients[0])
+        if not np.isfinite(val) or abs(val) > 1e6:
+            y[t:] = y[t - 1]
+            return y, True, t
+        y[t] = val
+    return y, False, None
+
+
+def random_narx(rng, na, nb, direct_term, degree):
+    """Random polynomial NARX whose output lags feed back with gain below 1."""
+    n_reg = na + nb + int(direct_term)
+    basis = enumerate_monomials(n_reg, 0, degree)
+    coeffs = 0.05 * rng.normal(size=len(basis))
+    exps = [tuple(e) for e in basis.exponents]
+    for i in range(n_reg):
+        unit = tuple(int(j == i) for j in range(n_reg))
+        coeffs[exps.index(unit)] = (0.6 / na if i < na else 1.0) * rng.uniform(-1, 1)
+    layout = tuple(f"phi{i}" for i in range(n_reg))
+    return NarxModel(na, nb, direct_term, PolyMap(basis, coeffs[None, :]), layout)
+
+
+def assert_free_run_matches_reference(model, u, y_init):
+    res = simulate_free_run(model, u, y_init)
+    y, diverged, index = reference_free_run(model, u, y_init)
+    assert (res.diverged, res.divergence_index) == (diverged, index)
+    assert np.max(np.abs(res.y - y), initial=0.0) <= 1e-12 * np.max(np.abs(y), initial=0.0)
+    return res
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), na=st.integers(0, 2), nb=st.integers(0, 3),
+       direct_term=st.booleans(), degree=st.integers(1, 3))
+def test_free_run_matches_numpy_reference(seed, na, nb, direct_term, degree):
+    if na + nb + int(direct_term) == 0:
+        direct_term = True
+    rng = np.random.default_rng(seed)
+    model = random_narx(rng, na, nb, direct_term, degree)
+    u = 0.3 * rng.normal(size=150)
+    assert_free_run_matches_reference(model, u, 0.1 * rng.normal(size=na))
+
+
+@pytest.mark.parametrize("na, nb, direct_term", [(0, 0, True), (0, 2, True), (2, 1, True),
+                                                 (1, 2, False)])
+@pytest.mark.parametrize("case", ["nan_input", "large_output"])
+@pytest.mark.parametrize("k", [0, 37])
+def test_free_run_divergence_matches_numpy_reference(na, nb, direct_term, case, k):
+    rng = np.random.default_rng(8)
+    model = random_narx(rng, na, nb, direct_term, 2)
+    u = 0.3 * rng.normal(size=80)
+    # the spike enters phi(t) through u(t), or through u(t-1) without a direct term
+    t_in = max(k, model.max_lag) - (0 if direct_term else 1)
+    u[t_in] = np.nan if case == "nan_input" else 1e7
+    res = assert_free_run_matches_reference(model, u, 0.1 * rng.normal(size=na))
+    assert res.diverged
+    assert res.divergence_index == max(k, model.max_lag)
+
+
+def test_free_run_feedback_divergence_matches_numpy_reference():
+    rng = np.random.default_rng(9)
+    model = random_narx(rng, 2, 1, True, 2)
+    coeffs = model.poly.coefficients.copy()
+    coeffs[0, [tuple(e) for e in model.poly.basis.exponents].index((1, 0, 0, 0))] = 2.0
+    unstable = NarxModel(2, 1, True, PolyMap(model.poly.basis, coeffs), model.regressor_layout)
+    res = assert_free_run_matches_reference(unstable, 0.3 * rng.normal(size=80), np.ones(2))
+    assert res.diverged
+    assert model.max_lag < res.divergence_index < 80
 
 
 def test_duffing_free_run_and_extrapolation(duffing_narx):

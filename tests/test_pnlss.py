@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from nlsid.bla import estimate_bla_spectral
-from nlsid.decouple import DecoupledFunction
-from nlsid.polybasis import PolyMap, enumerate_monomials
+from nlsid.decouple import DecoupledFunction, eval_decoupled
+from nlsid.polybasis import PolyMap, enumerate_monomials, eval_monomials
 from nlsid.pnlss import (FitReport, PnlssModel, fit_pnlss, fit_pnlss_decoupled,
                          init_linear_from_bla, simulate_pnlss,
                          single_branch_init, state_coverage)
@@ -64,6 +66,123 @@ def test_simulate_divergence_status():
     res = simulate_pnlss(m, np.zeros(200))
     assert res.diverged
     assert res.divergence_index is not None
+
+
+def reference_simulate(model, u, x0=None):
+    """One numpy step at a time: the loop the scalar simulation must match."""
+    u = np.asarray(u, dtype=float)
+    n = model.state_dim
+    x = model.x0.copy() if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+    xs = np.zeros((len(u), n))
+    y = np.zeros(len(u))
+    for t in range(len(u)):
+        xs[t] = x
+        z = np.append(x, u[t])
+        yt = float(model.c @ x + model.d * u[t])
+        if model.f_map is not None:
+            yt += float(eval_monomials(model.f_map.basis, z) @ model.f_map.coefficients[0])
+        y[t] = yt
+        if not np.isfinite(yt) or abs(yt) > 1e6 or np.max(np.abs(x)) > 1e6:
+            y[t:] = y[t - 1] if t > 0 else 0.0
+            return y, xs, True, t
+        x_new = model.a @ x + model.b * u[t]
+        if isinstance(model.e_map, PolyMap):
+            x_new = x_new + model.e_map.coefficients @ eval_monomials(model.e_map.basis, z)
+        elif model.e_map is not None:
+            x_new = x_new + eval_decoupled(model.e_map, z)
+        x = x_new
+    return y, xs, False, None
+
+
+def assert_rel_close(got, ref, rtol=1e-12):
+    """Equal non-finite entries; finite ones within rtol of the largest |ref|."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.array_equal(got[~finite], ref[~finite], equal_nan=True)
+    scale = np.max(np.abs(ref[finite]), initial=0.0)
+    assert np.max(np.abs(got[finite] - ref[finite]), initial=0.0) <= rtol * scale
+
+
+def assert_matches_reference(model, u, x0=None):
+    res = simulate_pnlss(model, u, x0)
+    y, xs, diverged, index = reference_simulate(model, u, x0)
+    assert (res.diverged, res.divergence_index) == (diverged, index)
+    assert_rel_close(res.y, y)
+    assert_rel_close(res.x_traj, xs)
+    return res
+
+
+def random_model(rng, n, e_kind, f_degree=None, e_degrees=(2, 3), branch_lengths=(3,)):
+    """Stable linear part with a small E (PolyMap, decoupled or none) and F."""
+    a = rng.normal(size=(n, n))
+    a *= 0.8 / max(np.max(np.abs(np.linalg.eigvals(a))), 1e-12)
+    e_map = None
+    if e_kind == "poly":
+        basis = enumerate_monomials(n + 1, *e_degrees)
+        e_map = PolyMap(basis, 0.05 * rng.normal(size=(n, len(basis))))
+    elif e_kind == "decoupled":
+        r = len(branch_lengths)
+        e_map = DecoupledFunction(0.5 * rng.normal(size=(n, r)), 0.5 * rng.normal(size=(n + 1, r)),
+                                  tuple(0.05 * rng.normal(size=k) for k in branch_lengths))
+    f_map = None
+    if f_degree is not None:
+        basis = enumerate_monomials(n + 1, 2, f_degree)
+        f_map = PolyMap(basis, 0.05 * rng.normal(size=(1, len(basis))))
+    return PnlssModel(a=a, b=rng.normal(size=n), c=rng.normal(size=n), d=rng.normal(),
+                      e_map=e_map, f_map=f_map, x0=0.1 * rng.normal(size=n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       e_kind=st.sampled_from(["none", "poly", "decoupled"]),
+       e_degrees=st.sampled_from([(2, 2), (2, 3), (1, 3), (0, 2)]),
+       f_degree=st.sampled_from([None, 2, 3]),
+       branch_lengths=st.sampled_from([(3,), (4,), (2, 4), (6, 3), (1, 5)]),
+       override_x0=st.booleans())
+def test_simulate_matches_numpy_reference(seed, n, e_kind, e_degrees, f_degree,
+                                          branch_lengths, override_x0):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n, e_kind, f_degree, e_degrees, branch_lengths)
+    # a small drive: trajectories that grow or wander chaotically amplify the
+    # two loops' different summation order past the 1e-12 tolerance
+    u = 0.2 * rng.normal(size=120)
+    x0 = 0.2 * rng.normal(size=n) if override_x0 else None
+    assert_matches_reference(model, u, x0)
+
+
+def _spike(u, k, value):
+    return np.where(np.arange(len(u)) == k, value, u)
+
+
+DIVERGENCE_CASES = {
+    # name: (model, u, x0) that diverge at sample k, or soon after it for the
+    # doubling state (its output stays zero, so only |x| can trip the check)
+    "nan_input": lambda m, u, k: (m, _spike(u, k, np.nan), None),
+    "large_output": lambda m, u, k: (replace(m, d=1.0), _spike(u, k, 1e7), None),
+    "large_state": lambda m, u, k: (
+        replace(m, a=(2.0 if k else 1.0) * np.eye(m.state_dim), c=np.zeros(m.state_dim),
+                d=0.0, f_map=None),
+        u, np.full(m.state_dim, 1.0 if k else 2e6)),
+}
+
+
+@pytest.mark.parametrize("e_kind", ["none", "poly", "decoupled"])
+@pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
+@pytest.mark.parametrize("k", [0, 37])
+def test_simulate_divergence_matches_numpy_reference(e_kind, case, k):
+    rng = np.random.default_rng(5)
+    model = random_model(rng, 2, e_kind, f_degree=2 if e_kind == "poly" else None,
+                         branch_lengths=(2, 4))
+    u = 0.1 * rng.normal(size=80)
+    assert not simulate_pnlss(model, u).diverged
+    model, u, x0 = DIVERGENCE_CASES[case](model, u, k)
+    res = assert_matches_reference(model, u, x0)
+    assert res.diverged
+    if case == "large_state" and k:
+        assert 0 < res.divergence_index < len(u)
+    else:
+        assert res.divergence_index == k
 
 
 def test_init_linear_from_bla_exact_second_order():

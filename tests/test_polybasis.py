@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlsid.polybasis import (PolyMap, enumerate_monomials, eval_monomials,
+from nlsid.polybasis import (MonomialPlan, PolyMap, enumerate_monomials, eval_monomials,
                              eval_polymap, jacobian_polymap, monomial_count)
 
 
@@ -44,6 +44,21 @@ def test_ordering_graded_then_stable():
     # within a degree block the leading exponent descends
     block = [e for e in basis.exponents if sum(e) == 3]
     assert block == [(3, 0), (2, 1), (1, 2), (0, 3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_vars=st.integers(1, 4), d_min=st.integers(0, 3), extra=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_plan_table_matches_eval_monomials(n_vars, d_min, extra, seed):
+    basis = enumerate_monomials(n_vars, d_min, d_min + extra)
+    plan = MonomialPlan(n_vars, basis.degree_max + 1)
+    assert plan.size == monomial_count(n_vars, 0, max(basis.degree_max + 1, 1))
+    z = np.random.default_rng(seed).normal(size=n_vars).tolist()
+    table = [1.0, *z]
+    for level in plan.levels:
+        table += [table[p] * z[v] for p, v in level]
+    got = np.array(table)[plan.positions(basis)]
+    assert np.allclose(got, eval_monomials(basis, np.array(z)), rtol=1e-14, atol=0.0)
 
 
 def test_zero_coefficients_give_zero_output():
