@@ -9,7 +9,8 @@ model validation (:mod:`nlsid.validate`).
 """
 
 from .signals import (MultisineSpec, SignalRecord, Spectrum, design_multisine,
-                      dft, idft, random_phases, split_periods)
+                      dft, flat_amplitude_spec, full_grid, idft, odd_grid,
+                      random_phases, split_periods)
 from .simulators import (BlockOrientedSpec, DuffingParams, LinearBlock,
                          NoiseSpec, TanksParams, default_duffing,
                          simulate_block_oriented, simulate_duffing,

@@ -56,6 +56,17 @@ def _check_schema(config: dict):
         raise ConfigError(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
 
 
+def _config_values(build):
+    """Report a value that ``build`` rejects as a config error (exit 2), not
+    as a numeric failure (exit 3)."""
+    def checked(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+            raise ConfigError(str(exc)) from exc
+    return checked
+
+
 def _load_config(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text())
@@ -65,6 +76,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
+@_config_values
 def _build_spec(cfg: dict, seed: int) -> signals.MultisineSpec:
     _check_keys(cfg, {"fs", "period_samples", "grid_kind", "k_max", "lines",
                       "rms", "group_size"}, "excitation")
@@ -111,6 +123,7 @@ def cmd_design(config: dict, out: Path, seed_override: int | None) -> None:
     write_signal_record(out / "signal.csv", rec)
 
 
+@_config_values
 def _build_noise(cfg: dict, seed: int) -> simulators.NoiseSpec:
     _check_keys(cfg, {"measurement_std", "process_std", "process_entry"}, "noise")
     return simulators.NoiseSpec(
@@ -121,6 +134,7 @@ def _build_noise(cfg: dict, seed: int) -> simulators.NoiseSpec:
     )
 
 
+@_config_values
 def _build_system(cfg: dict):
     kind = _require(cfg, "type")
     if kind == "duffing":
@@ -250,16 +264,16 @@ def cmd_fit_pnlss(config: dict, out: Path, seed_override: int | None) -> None:
     _check_keys(config, {"schema_version", "record", "records", "spec", "state_dim",
                          "state_degree", "output_degree", "max_iterations", "lines"})
     spec = signals.MultisineSpec.from_dict(read_json(_require(config, "spec")))
-    if "records" in config:
-        recs = [read_signal_record(p) for p in config["records"]]
-    else:
-        recs = [read_signal_record(_require(config, "record"))]
-    model_bla = bla_mod.estimate_bla_spectral(recs, spec)
+    paths = config["records"] if "records" in config else [_require(config, "record")]
+    if len(paths) != 1:
+        raise ConfigError("fit-pnlss fits one record: give 'record' or one entry in 'records'")
+    rec = read_signal_record(paths[0])
+    model_bla = bla_mod.estimate_bla_spectral([rec], spec)
     lin, frf_rms = pnlss.init_linear_from_bla(model_bla, int(config.get("state_dim", 2)))
     lines = np.asarray(config.get("lines", list(spec.excited_lines)), dtype=int)
     output_degree = config.get("output_degree")
     model, report = pnlss.fit_pnlss(
-        lin, recs[0], lines,
+        lin, rec, lines,
         state_degree=int(config.get("state_degree", 3)),
         output_degree=int(output_degree) if output_degree is not None else None,
         max_iterations=int(config.get("max_iterations", 300)))
@@ -276,7 +290,7 @@ def cmd_fit_volterra(config: dict, out: Path, seed_override: int | None) -> None
     reg_cfg = config.get("regularizer", {})
     _check_keys(reg_cfg, {"scale_1", "decay_1", "corr_1", "scale_2", "decay_2",
                           "corr_2", "tuning", "grid_points", "grid_span"}, "regularizer")
-    reg = volterra.RegularizerSpec(**reg_cfg)
+    reg = _config_values(volterra.RegularizerSpec)(**reg_cfg)
     model = volterra.fit_volterra(rec, int(_require(config, "memory")),
                                   int(config.get("degree", 2)), reg)
     write_json(out / "volterra.json", model.to_dict())

@@ -12,8 +12,7 @@ import numpy as np
 
 from .polybasis import MonomialPlan, PolyMap, enumerate_monomials, eval_monomials
 from .signals import SignalRecord
-
-DIVERGENCE_LIMIT = 1e6
+from .simulators import DIVERGENCE_LIMIT
 
 
 @dataclass(frozen=True)

@@ -39,14 +39,6 @@ class LineStatistics:
     yu_covar: np.ndarray
     num_periods: int
 
-    @property
-    def y_var_of_mean(self) -> np.ndarray:
-        return self.y_var / self.num_periods
-
-    @property
-    def u_var_of_mean(self) -> np.ndarray:
-        return self.u_var / self.num_periods
-
 
 def sample_statistics(rec: SignalRecord, discard_periods: int = 0) -> LineStatistics:
     """Sample means and (co)variances of the per-period input/output spectra.

@@ -27,8 +27,8 @@ from .decouple import DecoupledFunction
 from .polybasis import (MonomialPlan, PolyMap, enumerate_monomials, eval_monomials,
                         monomial_jacobian)
 from .signals import SignalRecord
+from .simulators import DIVERGENCE_LIMIT
 
-DIVERGENCE_LIMIT = 1e6
 DAMPING_CEILING = 1e14
 
 

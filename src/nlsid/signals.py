@@ -155,9 +155,10 @@ def idft(spectrum: Spectrum) -> np.ndarray:
 def design_multisine(spec: MultisineSpec, num_periods: int = 1) -> np.ndarray:
     """Generate the multisine ``u(l) = sum_k U_k cos(2*pi*k*l/N + phi_k)``.
 
-    The phase index ``k*l`` is reduced modulo N before the cosine call, so the
-    samples are exactly periodic: evaluating at ``l + N`` reproduces the value
-    at ``l`` bit for bit, no matter how many periods are generated.
+    One period comes from a single inverse real FFT of the half spectrum
+    with ``N/2 * U_k * exp(j*phi_k)`` on bin ``k``, and is tiled
+    ``num_periods`` times, so the samples are exactly periodic: the value at
+    ``l + N`` is the value at ``l`` bit for bit.
 
     Returns
     -------
@@ -166,13 +167,12 @@ def design_multisine(spec: MultisineSpec, num_periods: int = 1) -> np.ndarray:
     if num_periods < 1:
         raise ValueError("num_periods must be >= 1")
     n = spec.period_samples
-    l = np.arange(n * num_periods, dtype=np.int64)
-    u = np.zeros(n * num_periods)
-    for k in spec.excited_lines:
-        u += spec.amplitudes[k] * np.cos(
-            2.0 * np.pi * ((k * l) % n) / n + spec.phases[k]
-        )
-    return u
+    lines = np.array(spec.excited_lines, dtype=np.int64)
+    amps = np.array([spec.amplitudes[k] for k in spec.excited_lines])
+    phases = np.array([spec.phases[k] for k in spec.excited_lines])
+    bins = np.zeros(n // 2 + 1, dtype=complex)
+    bins[lines] = 0.5 * n * amps * np.exp(1j * phases)
+    return np.tile(np.fft.irfft(bins, n), num_periods)
 
 
 def random_phases(spec: MultisineSpec, seed: int) -> MultisineSpec:

@@ -9,6 +9,7 @@ the record rate.  All simulators are deterministic for a fixed noise seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite, sqrt
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -102,16 +103,15 @@ def simulate_duffing(params: DuffingParams, u: np.ndarray, fs: float,
         raise ValueError("fs must be positive")
     if not np.all(np.isfinite(u)):
         raise ValueError("input contains non-finite samples")
-    c, k1, k3, b = params.c, params.k1, params.k3, params.b
-    h = 1.0 / (fs * params.oversample)
+    c, k1, k3, b = float(params.c), float(params.k1), float(params.k3), float(params.b)
+    h = 1.0 / (float(fs) * params.oversample)
     half_h = 0.5 * h
 
-    # scalar state update: the two-state loop dominates runtime
+    # scalar state update on Python floats: the two-state loop dominates runtime
     x1 = 0.0
     x2 = 0.0
     y = np.empty(len(u))
-    err_state = np.seterr(over="ignore", invalid="ignore")
-    for i, uk in enumerate(u):
+    for i, uk in enumerate(u.tolist()):
         y[i] = x1
         f = b * uk
         for _ in range(params.oversample):
@@ -131,10 +131,8 @@ def simulate_duffing(params: DuffingParams, u: np.ndarray, fs: float,
             b4 = f - c * q3 - k1 * p3 - k3 * p3 * p3 * p3
             x1 += (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             x2 += (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        if not np.isfinite(x1) or abs(x1) > DIVERGENCE_LIMIT:
-            np.seterr(**err_state)
+        if not isfinite(x1) or abs(x1) > DIVERGENCE_LIMIT:
             raise SimulationDiverged(i, abs(x1))
-    np.seterr(**err_state)
     y = _add_measurement_noise(y, noise)
     return SignalRecord(fs, len(u), 1, u, y, label="duffing")
 
@@ -173,37 +171,38 @@ def simulate_tanks(params: TanksParams, u: np.ndarray, fs: float,
     u = np.asarray(u, dtype=float)
     if fs <= 0:
         raise ValueError("fs must be positive")
-    h = 1.0 / (fs * params.oversample)
-    p = params
-    sqrt = np.sqrt
+    h = 1.0 / (float(fs) * params.oversample)
+    k1, k2, k3, k4 = float(params.k1), float(params.k2), float(params.k3), float(params.k4)
+    x1_max, x2_max = float(params.x1_max), float(params.x2_max)
+    spill = float(params.spill_fraction)
 
     def rates(x1, x2, uk):
-        x1c = min(max(x1, 0.0), p.x1_max)
-        x2c = min(max(x2, 0.0), p.x2_max)
-        d1 = -p.k1 * sqrt(x1c) + p.k4 * uk
-        d2 = p.k2 * sqrt(x1c) - p.k3 * sqrt(x2c)
-        if x1 >= p.x1_max and d1 > 0.0:
+        x1c = min(max(x1, 0.0), x1_max)
+        x2c = min(max(x2, 0.0), x2_max)
+        d1 = -k1 * sqrt(x1c) + k4 * uk
+        d2 = k2 * sqrt(x1c) - k3 * sqrt(x2c)
+        if x1 >= x1_max and d1 > 0.0:
             # upper tank is full: excess inflow spills, a fraction reaches tank 2
-            d2 += p.spill_fraction * d1
+            d2 += spill * d1
             d1 = 0.0
-        if x2 >= p.x2_max and d2 > 0.0:
+        if x2 >= x2_max and d2 > 0.0:
             d2 = 0.0
         return d1, d2
 
     x1 = 0.0
     x2 = 0.0
     y = np.empty(len(u))
-    for i, uk in enumerate(u):
+    for i, uk in enumerate(u.tolist()):
         y[i] = x2
-        for _ in range(p.oversample):
+        for _ in range(params.oversample):
             a1, b1 = rates(x1, x2, uk)
             a2, b2 = rates(x1 + 0.5 * h * a1, x2 + 0.5 * h * b1, uk)
             a3, b3 = rates(x1 + 0.5 * h * a2, x2 + 0.5 * h * b2, uk)
             a4, b4 = rates(x1 + h * a3, x2 + h * b3, uk)
             x1 += (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             x2 += (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            x1 = min(max(x1, 0.0), p.x1_max)
-            x2 = min(max(x2, 0.0), p.x2_max)
+            x1 = min(max(x1, 0.0), x1_max)
+            x2 = min(max(x2, 0.0), x2_max)
     y = _add_measurement_noise(y, noise)
     return SignalRecord(fs, len(u), 1, u, y, label="tanks")
 

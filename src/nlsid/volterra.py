@@ -166,13 +166,6 @@ def _upper_prior(p2: np.ndarray, m: int) -> np.ndarray:
     return s.T @ p2_inv @ s
 
 
-@dataclass(frozen=True)
-class VolterraFit:
-    model: VolterraModel
-    marginal_loglik: float | None
-    noise_variance: float
-
-
 def fit_volterra(rec, m: int, degree: int = 2,
                  reg: RegularizerSpec | None = None) -> VolterraModel:
     """Fit Volterra kernels by regularized least squares (ridge regression).

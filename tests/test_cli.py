@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from nlsid.cli import main
-from nlsid.serialize import read_json, read_signal_record
+from nlsid.serialize import read_json, read_signal_record, write_signal_record
+from nlsid.signals import SignalRecord
 
 
 def run_cli(*args):
@@ -45,6 +46,65 @@ def test_design_missing_seed_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, "design.json", cfg)
     assert run_cli("design", "--config", path, "--out", str(tmp_path / "o")) == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("k_max", 200, "k_max"),          # past N/2 = 128
+    ("rms", "x", "could not convert"),
+])
+def test_design_bad_excitation_value_exit_2(tmp_path, capsys, field, value, message):
+    cfg = design_config()
+    cfg["excitation"] = dict(cfg["excitation"], period_samples=256, **{field: value})
+    path = write_config(tmp_path, "design.json", cfg)
+    out = tmp_path / "o"
+    assert run_cli("design", "--config", path, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "signal.csv").exists()
+
+
+TANKS_SYSTEM = {"type": "tanks", "k1": 0.5, "k2": 0.4, "k3": 0.3, "k4": 1.0,
+                "x1_max": 10.0, "x2_max": 10.0}
+
+
+@pytest.mark.parametrize("system, noise, message", [
+    (dict(TANKS_SYSTEM, spill_fraction=2.0), None, "spill_fraction"),
+    (TANKS_SYSTEM, {"measurement_std": -1.0}, "nonnegative"),
+])
+def test_simulate_bad_system_or_noise_value_exit_2(tmp_path, capsys, system, noise, message):
+    cfg = write_config(tmp_path, "sim.json", simulate_config(system, noise=noise))
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "record.csv").exists()
+
+
+def test_fit_volterra_bad_regularizer_value_exit_2(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    write_signal_record(tmp_path / "rec.csv",
+                        SignalRecord(1.0, 64, 2, rng.normal(size=128), rng.normal(size=128)))
+    cfg = write_config(tmp_path, "vol.json", {
+        "schema_version": 1, "record": str(tmp_path / "rec.csv"), "memory": 4,
+        "regularizer": {"tuning": "bogus"},
+    })
+    out = tmp_path / "vol"
+    assert run_cli("fit-volterra", "--config", cfg, "--out", str(out)) == 2
+    assert "tuning" in capsys.readouterr().err
+    assert not (out / "volterra.json").exists()
+
+
+def test_fit_pnlss_rejects_more_than_one_record(tmp_path, capsys):
+    design_out = tmp_path / "design"
+    cfg = write_config(tmp_path, "design.json", design_config())
+    assert run_cli("design", "--config", cfg, "--out", str(design_out)) == 0
+    record = str(design_out / "signal.csv")
+    cfg = write_config(tmp_path, "pnlss.json", {
+        "schema_version": 1, "spec": str(design_out / "multisine.json"),
+        "records": [record, record],
+    })
+    out = tmp_path / "pnlss"
+    assert run_cli("fit-pnlss", "--config", cfg, "--out", str(out)) == 2
+    assert "one record" in capsys.readouterr().err
+    assert not (out / "pnlss.json").exists()
 
 
 def test_design_brain_grid_exact_lines(tmp_path):

@@ -32,6 +32,46 @@ def test_exact_periodicity_two_periods():
     assert np.array_equal(u2[:64], design_multisine(spec))
 
 
+def cosine_sum_multisine(spec, num_periods=1):
+    """Reference: the explicit sum of one cosine per line, phase index mod N."""
+    n = spec.period_samples
+    l = np.arange(n * num_periods, dtype=np.int64)
+    u = np.zeros(n * num_periods)
+    for k in spec.excited_lines:
+        u += spec.amplitudes[k] * np.cos(
+            2.0 * np.pi * ((k * l) % n) / n + spec.phases[k]
+        )
+    return u
+
+
+@pytest.mark.parametrize("n", [256, 255, 1024, 1023])
+@pytest.mark.parametrize("grid", ["full", "odd_only", "odd_random_skip"])
+@pytest.mark.parametrize("num_periods", [1, 3])
+def test_design_matches_cosine_sum(n, grid, num_periods):
+    k_max = n // 2 - 1
+    if grid == "full":
+        lines = full_grid(n, k_max)
+    elif grid == "odd_only":
+        lines = odd_grid(n, k_max)
+    else:
+        lines, _ = odd_random_skip_grid(n, k_max, seed=n)
+    spec = random_phases(flat_amplitude_spec(n, float(n), lines, rms=0.5, grid_kind=grid), n + 1)
+    ref = cosine_sum_multisine(spec, num_periods)
+    u = design_multisine(spec, num_periods)
+    assert u.shape == ref.shape
+    assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_design_with_unequal_amplitudes_and_a_line_below_nyquist():
+    # the highest line a spec allows sits just below N/2, for even and odd N
+    for n in (64, 65):
+        lines = (1, 2, 7, (n - 1) // 2)
+        amps = {1: 0.3, 2: 1.7, 7: 0.0, (n - 1) // 2: 2.5}
+        spec = random_phases(MultisineSpec(1.0, n, lines, amps, {k: 0.0 for k in lines}), 4)
+        ref = cosine_sum_multisine(spec, 2)
+        assert np.max(np.abs(design_multisine(spec, 2) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_odd_grid_excites_reported_lines_only():
     # 10 odd lines in the 1..23 band at 1 Hz resolution
     lines = (1, 3, 5, 7, 9, 11, 13, 15, 19, 23)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
-from nlsid.signals import SignalRecord, design_multisine, flat_amplitude_spec, odd_grid
+from nlsid.signals import (SignalRecord, design_multisine, flat_amplitude_spec, odd_grid,
+                           random_phases)
 from nlsid.simulators import (BlockOrientedSpec, DuffingParams, LinearBlock,
                               NoiseSpec, SimulationDiverged, TanksParams,
                               default_duffing, simulate_block_oriented,
@@ -80,6 +81,140 @@ def test_duffing_rejects_nonfinite_input():
 
 
 TANKS = TanksParams(k1=0.5, k2=0.4, k3=0.3, k4=1.0, x1_max=10.0, x2_max=10.0)
+
+
+def numpy_scalar_duffing(params: DuffingParams, u, fs):
+    """Reference: the RK4 loop stepping on numpy float64 scalars (noise-free)."""
+    u = np.asarray(u, dtype=float)
+    c, k1, k3, b = params.c, params.k1, params.k3, params.b
+    h = 1.0 / (fs * params.oversample)
+    half_h = 0.5 * h
+    x1 = 0.0
+    x2 = 0.0
+    y = np.empty(len(u))
+    err_state = np.seterr(over="ignore", invalid="ignore")
+    try:
+        for i, uk in enumerate(u):
+            y[i] = x1
+            f = b * uk
+            for _ in range(params.oversample):
+                a1 = x2
+                b1 = f - c * x2 - k1 * x1 - k3 * x1 * x1 * x1
+                p1 = x1 + half_h * a1
+                q1 = x2 + half_h * b1
+                a2 = q1
+                b2 = f - c * q1 - k1 * p1 - k3 * p1 * p1 * p1
+                p2 = x1 + half_h * a2
+                q2 = x2 + half_h * b2
+                a3 = q2
+                b3 = f - c * q2 - k1 * p2 - k3 * p2 * p2 * p2
+                p3 = x1 + h * a3
+                q3 = x2 + h * b3
+                a4 = q3
+                b4 = f - c * q3 - k1 * p3 - k3 * p3 * p3 * p3
+                x1 += (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                x2 += (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            if not np.isfinite(x1) or abs(x1) > 1e6:
+                return y, i
+    finally:
+        np.seterr(**err_state)
+    return y, None
+
+
+def numpy_scalar_tanks(params: TanksParams, u, fs):
+    """Reference: the RK4 loop stepping on numpy float64 scalars with np.sqrt
+    (noise-free)."""
+    u = np.asarray(u, dtype=float)
+    h = 1.0 / (fs * params.oversample)
+    p = params
+    sqrt = np.sqrt
+
+    def rates(x1, x2, uk):
+        x1c = min(max(x1, 0.0), p.x1_max)
+        x2c = min(max(x2, 0.0), p.x2_max)
+        d1 = -p.k1 * sqrt(x1c) + p.k4 * uk
+        d2 = p.k2 * sqrt(x1c) - p.k3 * sqrt(x2c)
+        if x1 >= p.x1_max and d1 > 0.0:
+            d2 += p.spill_fraction * d1
+            d1 = 0.0
+        if x2 >= p.x2_max and d2 > 0.0:
+            d2 = 0.0
+        return d1, d2
+
+    x1 = 0.0
+    x2 = 0.0
+    y = np.empty(len(u))
+    for i, uk in enumerate(u):
+        y[i] = x2
+        for _ in range(p.oversample):
+            a1, b1 = rates(x1, x2, uk)
+            a2, b2 = rates(x1 + 0.5 * h * a1, x2 + 0.5 * h * b1, uk)
+            a3, b3 = rates(x1 + 0.5 * h * a2, x2 + 0.5 * h * b2, uk)
+            a4, b4 = rates(x1 + h * a3, x2 + h * b3, uk)
+            x1 += (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            x2 += (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            x1 = min(max(x1, 0.0), p.x1_max)
+            x2 = min(max(x2, 0.0), p.x2_max)
+    return y
+
+
+def multisine_input(n, fs, rms, seed, offset=0.0):
+    spec = flat_amplitude_spec(n, fs, tuple(range(1, n // 4)), rms=rms)
+    return offset + design_multisine(random_phases(spec, seed), 2)
+
+
+@pytest.mark.parametrize("params, rms", [
+    (default_duffing(FS, hardening=1.0), 0.5),
+    (default_duffing(FS, hardening=-0.05, oversample=8), 0.2),
+    (DuffingParams(c=4.0, k1=400.0, k3=0.0, b=400.0, oversample=32), 1.0),
+])
+def test_duffing_identical_to_numpy_scalar_loop(params, rms):
+    u = multisine_input(256, FS, rms, seed=3)
+    ref, diverged_at = numpy_scalar_duffing(params, u, FS)
+    assert diverged_at is None
+    assert np.array_equal(simulate_duffing(params, u, FS).output, ref)
+    noise = NoiseSpec(measurement_std=0.01, seed=5)
+    ref_noisy = ref + np.random.default_rng(5).normal(0.0, 0.01, len(u))
+    assert np.array_equal(simulate_duffing(params, u, FS, noise).output, ref_noisy)
+
+
+@pytest.mark.parametrize("level", [3.0, 5.0, 40.0])
+def test_duffing_divergence_step_matches_numpy_scalar_loop(level):
+    # a softening spring escapes its well; at 40 the state overflows to inf/nan
+    params = DuffingParams(c=1e-3, k1=1.0, k3=-50.0, b=1.0, oversample=8)
+    u = np.full(4000, level)
+    _, diverged_at = numpy_scalar_duffing(params, u, FS)
+    assert diverged_at is not None
+    with pytest.raises(SimulationDiverged) as err:
+        simulate_duffing(params, u, FS)
+    assert err.value.step_index == diverged_at
+
+
+OVERFLOWING_TANKS = TanksParams(k1=0.5, k2=0.4, k3=0.3, k4=1.0, x1_max=2.0, x2_max=2.5,
+                                spill_fraction=0.3, oversample=8)
+
+
+@pytest.mark.parametrize("params, offset, rms", [
+    (TANKS, 0.8, 0.3),
+    (TanksParams(k1=0.5, k2=0.4, k3=0.3, k4=1.0, x1_max=10.0, x2_max=10.0,
+                 oversample=8), 0.8, 0.4),
+    # both tanks overflow: the upper one spills and the lower one saturates
+    (OVERFLOWING_TANKS, 0.7, 0.5),
+])
+def test_tanks_identical_to_numpy_scalar_loop(params, offset, rms):
+    fs = 2.0
+    u = multisine_input(256, fs, rms, seed=9, offset=offset)
+    ref = numpy_scalar_tanks(params, u, fs)
+    assert np.array_equal(simulate_tanks(params, u, fs).output, ref)
+    noise = NoiseSpec(measurement_std=1e-3, seed=2)
+    ref_noisy = ref + np.random.default_rng(2).normal(0.0, 1e-3, len(u))
+    assert np.array_equal(simulate_tanks(params, u, fs, noise).output, ref_noisy)
+
+
+def test_tanks_equivalence_case_overflows_part_of_the_time():
+    y = simulate_tanks(OVERFLOWING_TANKS, multisine_input(256, 2.0, 0.5, seed=9, offset=0.7),
+                       2.0).output
+    assert 0.1 < np.mean(y == OVERFLOWING_TANKS.x2_max) < 0.9
 
 
 def test_tanks_zero_input_zero_output():
