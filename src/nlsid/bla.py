@@ -43,14 +43,6 @@ class BlaModel:
         if np.any(self.frf_variance_total < 0) or np.any(self.frf_variance_noise < 0):
             raise ValueError("variances must be nonnegative")
 
-    def interp(self, lines: np.ndarray) -> np.ndarray:
-        """FRF at the requested lines (must be a subset of the model's grid)."""
-        idx = {int(k): i for i, k in enumerate(self.lines)}
-        missing = [int(k) for k in lines if int(k) not in idx]
-        if missing:
-            raise ValueError(f"model does not cover lines {missing}")
-        return self.frf[[idx[int(k)] for k in lines]]
-
     def to_dict(self) -> dict:
         return {
             "lines": self.lines.tolist(),

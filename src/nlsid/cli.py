@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -514,23 +513,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (falls back to NLSID_THREADS)")
     parser.add_argument("--resume", action="store_true",
                         help="pipeline only: skip stages already in the manifest")
     args = parser.parse_args(argv)
 
     try:
-        threads = args.threads
-        if threads is None:
-            env = os.environ.get("NLSID_THREADS")
-            if env:
-                try:
-                    threads = int(env)
-                except ValueError:
-                    raise ConfigError(f"NLSID_THREADS must be an integer, got {env!r}")
-        if threads is not None and threads < 1:
-            raise ConfigError("--threads must be a positive integer")
         config = _load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .lm import levenberg_marquardt
 from .polybasis import PolyMap, enumerate_monomials, eval_polymap, jacobian_polymap
 
 
@@ -86,6 +87,66 @@ class DecoupledFunction:
             np.asarray(d["V"], dtype=float),
             tuple(np.asarray(b, dtype=float) for b in d["branches"]),
         )
+
+    # State-map interface, shared with polybasis.PolyMap: the PNLSS fit and
+    # the refinement below read and write a map only through these.
+
+    def _coefficient_matrix(self) -> np.ndarray:
+        """Branch coefficients as rows of one (r, deg + 1) matrix, zero-padded
+        to the longest branch."""
+        cf = np.zeros((self.r, max(len(c) for c in self.branches)))
+        for i, c in enumerate(self.branches):
+            cf[i, : len(c)] = c
+        return cf
+
+    @property
+    def params(self) -> np.ndarray:
+        """Free parameters as one flat vector: W, V and the padded branch
+        coefficients, each row by row."""
+        return np.concatenate([self.w.ravel(), self.v.ravel(),
+                               self._coefficient_matrix().ravel()])
+
+    def with_params(self, theta: np.ndarray) -> "DecoupledFunction":
+        """The map with :attr:`params` replaced; branches come back padded."""
+        (n_q, r), n_p = self.w.shape, self.n_inputs
+        theta = np.asarray(theta, dtype=float)
+        return DecoupledFunction(theta[: n_q * r].reshape(n_q, r),
+                                 theta[n_q * r : (n_q + n_p) * r].reshape(n_p, r),
+                                 tuple(theta[(n_q + n_p) * r :].reshape(r, -1)))
+
+    def values(self, p: np.ndarray) -> np.ndarray:
+        """Values at a batch of points, shape (T, n_outputs)."""
+        return eval_decoupled(self, p)
+
+    def _branch_terms(self, p: np.ndarray):
+        """Padded coefficients, the powers ``x^j`` of the branch inputs
+        ``x = V^T p`` (T, r, deg + 1) and the branch slopes ``g'(x)`` (T, r)."""
+        cf = self._coefficient_matrix()
+        x = p @ self.v
+        powers = np.stack([x**j for j in range(cf.shape[1])], axis=2)
+        dg = np.zeros_like(x)
+        for j in range(1, cf.shape[1]):
+            dg += j * cf[:, j][None, :] * powers[:, :, j - 1]
+        return cf, powers, dg
+
+    def d_vars(self, p: np.ndarray) -> np.ndarray:
+        """Derivatives ``W diag(g'(x)) V^T`` in the inputs, shape (T, n_outputs, n_inputs)."""
+        _, _, dg = self._branch_terms(p)
+        return np.einsum("oi,ti,vi->tov", self.w, dg, self.v)
+
+    def d_params(self, p: np.ndarray) -> np.ndarray:
+        """Derivatives in :attr:`params`, shape (T, n_outputs, n_params)."""
+        cf, powers, dg = self._branch_terms(p)
+        t_len = len(p)
+        n_q, r = self.w.shape
+        jw = np.zeros((t_len, n_q, n_q * r))
+        g = np.einsum("trj,rj->tr", powers, cf)
+        for o in range(n_q):
+            jw[:, o, o * r : (o + 1) * r] = g
+        # dq/dV[j, i] = W[:, i] g_i'(x_i) p_j, at flat index j * r + i
+        jv = np.einsum("oi,ti,tj->toji", self.w, dg, p).reshape(t_len, n_q, -1)
+        jc = np.einsum("oi,tij->toij", self.w, powers).reshape(t_len, n_q, -1)
+        return np.concatenate([jw, jv, jc], axis=2)
 
 
 def eval_decoupled(d: DecoupledFunction, p: np.ndarray) -> np.ndarray:
@@ -227,25 +288,6 @@ def _test_cloud(seed: int, num_points: int, n_vars: int, domain,
     return pts[rng.choice(len(pts), take, replace=False)]
 
 
-def _fit_branches(f_vals: np.ndarray, w: np.ndarray, x: np.ndarray,
-                  degree: int) -> np.ndarray:
-    """Joint linear LS for all branch coefficients given W and branch inputs x.
-
-    Returns coeffs (r, degree+1)."""
-    n_pts, n_q = f_vals.shape
-    r = w.shape[1]
-    powers = np.stack([x**j for j in range(degree + 1)], axis=2)  # (T, r, d+1)
-    design = (w[None, :, :, None] * powers[:, None, :, :]).reshape(n_pts * n_q, r * (degree + 1))
-    sol, *_ = np.linalg.lstsq(design, f_vals.reshape(-1), rcond=None)
-    return sol.reshape(r, degree + 1)
-
-
-def _refit_w(f_vals: np.ndarray, g_vals: np.ndarray) -> np.ndarray:
-    """LS update of W given branch outputs: f ~ g W^T."""
-    sol, *_ = np.linalg.lstsq(g_vals, f_vals, rcond=None)
-    return sol.T
-
-
 def canonicalize(d: DecoupledFunction) -> DecoupledFunction:
     """Normalize the scaling/sign/permutation gauge freedom.
 
@@ -314,21 +356,23 @@ def decouple_exact(f: PolyMap, r: int, num_points: int = 500, seed: int = 0,
     w = _safe_normalize(w)
     v = _safe_normalize(v)
     f_vals = eval_polymap(f, pts)
-    coeffs = None
+    zeros = np.zeros((r, degree + 1))
     prev_err = np.inf
     for _ in range(50):  # alternate branch-coefficient and W updates to convergence
-        coeffs = _fit_branches(f_vals, w, pts @ v, degree)
-        g_vals = np.stack(
-            [np.polyval(coeffs[i][::-1], pts @ v[:, i]) for i in range(r)], axis=1
-        )
-        w = _refit_w(f_vals, g_vals)
+        # the values are linear in the branch coefficients, so their block of
+        # d_params is the design matrix of the coefficients' least squares
+        design = DecoupledFunction(w, v, zeros).d_params(pts)[:, :, -zeros.size:]
+        coeffs = np.linalg.lstsq(design.reshape(-1, zeros.size), f_vals.ravel(), rcond=None)[0]
+        branches = tuple(coeffs.reshape(zeros.shape))
+        g_vals = DecoupledFunction(np.eye(r), v, branches).values(pts)  # g(V^T p) alone
+        w = np.linalg.lstsq(g_vals, f_vals, rcond=None)[0].T
         err = float(np.linalg.norm(f_vals - g_vals @ w.T))
         if err >= prev_err * (1.0 - 1e-12):
             break
         prev_err = err
     # joint second-order polish removes the linear-convergence plateau of the
     # alternating updates (machine precision for exactly decomposable maps)
-    _, func = _lm_refine(DecoupledFunction(w, v, tuple(coeffs)), pts, f_vals,
+    _, func = _lm_refine(DecoupledFunction(w, v, branches), pts, f_vals,
                          np.ones(f.n_outputs), max_iterations=30)
     func = canonicalize(func)
     test = _test_cloud(seed + 1, num_points, f.n_vars, domain, points)
@@ -392,13 +436,11 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
     _, func, init = best
     func = canonicalize(func)
     held = _test_cloud(seed + 9999, num_points, f.n_vars, domain, points)
-    resid = (eval_polymap(f, held) - eval_decoupled(func, held)) * np.sqrt(w_out)
-    active = w_out > 0
-    resid_active = resid[:, active]
+    resid = (eval_polymap(f, held) - eval_decoupled(func, held))[:, active] * np.sqrt(w_out[active])
     return DecoupleResult(
         function=func,
-        residual_max=float(np.max(np.abs(resid_active))) if resid_active.size else 0.0,
-        residual_rms=float(np.sqrt(np.mean(resid_active**2))) if resid_active.size else 0.0,
+        residual_max=float(np.max(np.abs(resid))),
+        residual_rms=float(np.sqrt(np.mean(resid**2))),
         converged=init.converged,
         cpd_error=init.cpd_error,
     )
@@ -406,82 +448,23 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
 
 def _lm_refine(func: DecoupledFunction, pts: np.ndarray, f_vals: np.ndarray,
                w_out: np.ndarray, max_iterations: int) -> tuple[float, DecoupledFunction]:
-    n_q, r = func.w.shape
-    n_p = func.v.shape[0]
-    deg = max(len(c) for c in func.branches) - 1
-    coeffs = np.zeros((r, deg + 1))
-    for i, c in enumerate(func.branches):
-        coeffs[i, : len(c)] = c
-    theta = np.concatenate([func.w.ravel(), func.v.ravel(), coeffs.ravel()])
+    """Joint Levenberg-Marquardt polish of W, V and the branch coefficients on
+    the weighted residuals ``sqrt(w_out) * (W g(V^T p) - f(p))``."""
     sqrt_w = np.sqrt(w_out)
-    n_pts = pts.shape[0]
 
-    def unpack(th):
-        w = th[: n_q * r].reshape(n_q, r)
-        v = th[n_q * r : n_q * r + n_p * r].reshape(n_p, r)
-        c = th[n_q * r + n_p * r :].reshape(r, deg + 1)
-        return w, v, c
+    def residual(theta):
+        # an overflowing trial has a non-finite cost, so it is rejected like
+        # any trial that does not lower the cost, and never raises
+        trial = func.with_params(theta)
+        return ((trial.values(pts) - f_vals) * sqrt_w).ravel(), trial
 
-    def residual(th):
-        w, v, c = unpack(th)
-        x = pts @ v
-        g = np.stack([np.polyval(c[i][::-1], x[:, i]) for i in range(r)], axis=1)
-        return ((g @ w.T - f_vals) * sqrt_w).ravel()
+    def jacobian(theta, trial):
+        return (trial.d_params(pts) * sqrt_w[:, None]).reshape(-1, len(theta))
 
-    def jacobian(th):
-        w, v, c = unpack(th)
-        x = pts @ v  # (T, r)
-        powers = np.stack([x**j for j in range(deg + 1)], axis=2)  # (T, r, deg+1)
-        g = np.einsum("trj,rj->tr", powers, c)
-        dg = np.zeros_like(x)
-        for j in range(1, deg + 1):
-            dg += j * c[:, j][None, :] * x ** (j - 1)
-        jw = np.zeros((n_pts, n_q, n_q * r))
-        for o in range(n_q):
-            jw[:, o, o * r : (o + 1) * r] = g
-        jv = np.einsum("oi,ti,tp->topi", w, dg, pts).reshape(n_pts, n_q, n_p * r)
-        # reorder: V is stored (n_p, r) row-major -> flat index p * r + i
-        jc = np.einsum("oi,tij->toij", w, powers).reshape(n_pts, n_q, r * (deg + 1))
-        full = np.concatenate([jw, jv, jc], axis=2)
-        return (full * sqrt_w[None, :, None]).reshape(n_pts * n_q, -1)
-
-    r_vec = residual(theta)
-    cost = float(r_vec @ r_vec)
-    lam = 1e-3
-    for _ in range(max_iterations):
-        jac = jacobian(theta)
-        grad = jac.T @ r_vec
-        if np.max(np.abs(grad)) < 1e-12 * max(cost, 1.0):
-            break
-        jtj = jac.T @ jac
-        accepted = False
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(jtj + lam * np.eye(len(theta)), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 2.0
-                continue
-            r_try = residual(theta + step)
-            c_try = float(r_try @ r_try)
-            if np.isfinite(c_try) and c_try < cost:
-                theta = theta + step
-                rel = (cost - c_try) / max(cost, 1e-300)
-                cost = c_try
-                r_vec = r_try
-                lam = max(lam / 2.0, 1e-12)
-                accepted = True
-                if rel < 1e-12:
-                    return cost, _func_from_theta(unpack(theta))
-                break
-            lam *= 2.0
-        if not accepted:
-            break
-    return cost, _func_from_theta(unpack(theta))
-
-
-def _func_from_theta(wvc) -> DecoupledFunction:
-    w, v, c = wvc
-    return DecoupledFunction(w, v, tuple(c[i] for i in range(c.shape[0])))
+    theta, costs, _, _ = levenberg_marquardt(residual, jacobian, func.params, max_iterations,
+                                             cost_tol=1e-12, grad_tol=1e-12,
+                                             scaled_damping=True)
+    return float(costs[-1]), func.with_params(theta)
 
 
 def to_polymap(d: DecoupledFunction) -> PolyMap:

@@ -7,8 +7,11 @@ all parameters, including the initial state, are refined by Levenberg-
 Marquardt on the frequency-domain simulation error at the excited lines.
 
 The state nonlinearity may also be a decoupled form ``W g(V^T (x, u))`` (see
-:mod:`nlsid.decouple`); :func:`fit_pnlss_decoupled` re-optimizes such reduced
-models on data, mirroring the model-pruning workflow.
+:mod:`nlsid.decouple`), which is only another parametrisation of the same
+state equation.  :func:`fit_pnlss` refits either kind, with or without an
+output nonlinearity, through the maps' shared interface (flat parameters and
+derivatives in (x, u) and in the parameters); this is how reduced models are
+re-optimized in the model-pruning workflow.
 """
 
 from __future__ import annotations
@@ -24,12 +27,10 @@ from scipy import signal as sp_signal
 
 from .bla import BlaModel
 from .decouple import DecoupledFunction
-from .polybasis import (MonomialPlan, PolyMap, enumerate_monomials, eval_monomials,
-                        monomial_jacobian)
+from .lm import levenberg_marquardt
+from .polybasis import MonomialPlan, PolyMap, enumerate_monomials, eval_monomials
 from .signals import SignalRecord
 from .simulators import DIVERGENCE_LIMIT
-
-DAMPING_CEILING = 1e14
 
 
 @dataclass(frozen=True)
@@ -292,170 +293,61 @@ class FitReport:
         }
 
 
-def _lm_minimize(residual_and_jac, theta0: np.ndarray, max_iterations: int,
-                 cost_tol: float, grad_tol: float, scaled_damping: bool = False):
-    """Levenberg-Marquardt with multiplicative damping (factor 2).
-
-    ``residual_and_jac(theta, with_jac)`` returns ``(r, J)``; ``r`` is None
-    when the model diverges at ``theta`` (treated as infinite cost).  Accepted
-    steps strictly decrease the cost; convergence on cost requires three
-    consecutive accepted steps below ``cost_tol`` relative drop.  Persistent
-    divergence at the damping ceiling raises; a stall (no improving step, all
-    finite) just stops.
-
-    ``scaled_damping`` switches the damping matrix from ``lam * I`` to the
-    Marquardt form ``lam * diag(J^T J)``, which is insensitive to parameter
-    scaling (used where parameter blocks carry very different scales).
-    """
-    theta = np.asarray(theta0, dtype=float).copy()
-    r, j = residual_and_jac(theta, True)
-    if r is None:
-        raise ValueError("initial point diverges")
-    cost = float(r @ r)
-    costs = [cost]
-    n_par = len(theta)
-    if scaled_damping:
-        lam = 1e-3
-    else:
-        lam = max(1e-3 * float(np.einsum("ij,ij->", j, j)) / n_par, 1e-300)
-    status = "max_iterations"
-    it = 0
-    small_drops = 0
-    for it in range(1, max_iterations + 1):
-        grad = j.T @ r
-        if np.max(np.abs(grad)) < grad_tol:
-            status = "gradient_converged"
-            break
-        jtj = j.T @ j
-        if scaled_damping:
-            diag = np.diag(jtj).copy()
-            diag[diag <= 0] = 1.0
-            damping = np.diag(diag)
-        else:
-            damping = np.eye(n_par)
-        accepted = False
-        any_finite_trial = False
-        while lam < DAMPING_CEILING:
-            try:
-                step = np.linalg.solve(jtj + lam * damping, -grad)
-            except np.linalg.LinAlgError:
-                lam *= 2.0
-                continue
-            r_try, _ = residual_and_jac(theta + step, False)
-            if r_try is not None:
-                any_finite_trial = True
-                cost_try = float(r_try @ r_try)
-                if cost_try < cost:
-                    theta = theta + step
-                    rel_drop = (cost - cost_try) / max(cost, 1e-300)
-                    cost = cost_try
-                    costs.append(cost)
-                    lam /= 2.0
-                    accepted = True
-                    small_drops = small_drops + 1 if rel_drop < cost_tol else 0
-                    break
-            lam *= 2.0
-        if not accepted:
-            if not any_finite_trial:
-                raise RuntimeError(
-                    "persistent divergence at the damping ceiling; "
-                    f"{len(costs)} accepted steps, last cost {costs[-1]:.6g}"
-                )
-            status = "stalled"
-            break
-        if small_drops >= 3:
-            status = "cost_converged"
-            break
-        r, j = residual_and_jac(theta, True)
-    return theta, np.asarray(costs), it, status
+def _offsets(model: PnlssModel) -> np.ndarray:
+    """Block offsets of the parameter vector ``[A, B, C, D, E, F, x0]``."""
+    n = model.state_dim
+    sizes = [n * n, n, n, 1, *(0 if m is None else len(m.params)
+                               for m in (model.e_map, model.f_map)), n]
+    return np.concatenate([[0], np.cumsum(sizes)]).astype(int)
 
 
-class _ParamPack:
-    """Flatten/unflatten the free parameters of a PolyMap-E PnlssModel."""
-
-    def __init__(self, model: PnlssModel):
-        self.n = model.state_dim
-        self.ne = 0 if model.e_map is None else model.e_map.coefficients.size
-        self.nf = 0 if model.f_map is None else model.f_map.coefficients.size
-        n = self.n
-        sizes = [n * n, n, n, 1, self.ne, self.nf, n]
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        self.total = int(self.offsets[-1])
-
-    def pack(self, m: PnlssModel) -> np.ndarray:
-        parts = [m.a.ravel(), m.b, m.c, [m.d]]
-        if m.e_map is not None:
-            parts.append(m.e_map.coefficients.ravel())
-        if m.f_map is not None:
-            parts.append(m.f_map.coefficients.ravel())
-        parts.append(m.x0)
-        return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
-
-    def unpack(self, theta: np.ndarray, template: PnlssModel) -> PnlssModel:
-        o = self.offsets
-        n = self.n
-        e_map = template.e_map
-        if e_map is not None:
-            e_map = PolyMap(e_map.basis, theta[o[4]:o[5]].reshape(e_map.coefficients.shape))
-        f_map = template.f_map
-        if f_map is not None:
-            f_map = PolyMap(f_map.basis, theta[o[5]:o[6]].reshape(f_map.coefficients.shape))
-        return PnlssModel(
-            a=theta[o[0]:o[1]].reshape(n, n),
-            b=theta[o[1]:o[2]],
-            c=theta[o[2]:o[3]],
-            d=float(theta[o[3]]),
-            e_map=e_map,
-            f_map=f_map,
-            x0=theta[o[6]:o[7]],
-        )
+def _pack(model: PnlssModel) -> np.ndarray:
+    maps = [m.params for m in (model.e_map, model.f_map) if m is not None]
+    return np.concatenate([model.a.ravel(), model.b, model.c, [model.d], *maps, model.x0])
 
 
-def _output_jacobian_polymap(model: PnlssModel, u: np.ndarray):
-    """(y, x_traj, dy/dtheta) for a PolyMap-E model via the sensitivity
-    recursion; returns (y, xs, None, True) when the simulation diverges."""
-    sim = simulate_pnlss(model, u)
-    if sim.diverged:
-        return sim.y, sim.x_traj, None, True
-    pack = _ParamPack(model)
+def _unpack(theta: np.ndarray, template: PnlssModel) -> PnlssModel:
+    """The model of ``theta``, with the structure (map kinds, bases, branch
+    counts) of ``template``."""
+    o = _offsets(template)
+    n = template.state_dim
+    e_map, f_map = template.e_map, template.f_map
+    return PnlssModel(
+        a=theta[o[0]:o[1]].reshape(n, n),
+        b=theta[o[1]:o[2]],
+        c=theta[o[2]:o[3]],
+        d=float(theta[o[3]]),
+        e_map=None if e_map is None else e_map.with_params(theta[o[4]:o[5]]),
+        f_map=None if f_map is None else f_map.with_params(theta[o[5]:o[6]]),
+        x0=theta[o[6]:o[7]],
+    )
+
+
+def _output_jacobian(model: PnlssModel, x_traj: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``dy(t)/dtheta`` along a simulated state trajectory, by the sensitivity
+    recursion on the maps' derivatives in (x, u) and in their parameters."""
     n = model.state_dim
     t_len = len(u)
-    xs = sim.x_traj
-    z = np.concatenate([xs, u[:, None]], axis=1)
-
-    if model.e_map is not None:
-        phi_e = eval_monomials(model.e_map.basis, z)
-        dphi_e = monomial_jacobian(model.e_map.basis, z)
-        e_x = np.einsum("om,tmv->tov", model.e_map.coefficients, dphi_e[:, :, :n])
-    else:
-        phi_e = None
-        e_x = np.zeros((t_len, n, n))
-    if model.f_map is not None:
-        phi_f = eval_monomials(model.f_map.basis, z)
-        dphi_f = monomial_jacobian(model.f_map.basis, z)
-        f_x = np.einsum("om,tmv->tov", model.f_map.coefficients, dphi_f[:, :, :n])[:, 0, :]
-    else:
-        phi_f = None
-        f_x = np.zeros((t_len, n))
-
-    o = pack.offsets
-    direct = np.zeros((t_len, n, pack.total))
+    o = _offsets(model)
+    z = np.concatenate([x_traj, u[:, None]], axis=1)
+    e_map, f_map = model.e_map, model.f_map
+    direct = np.zeros((t_len, n, o[-1]))
     for i in range(n):
-        direct[:, i, o[0] + i * n : o[0] + (i + 1) * n] = xs
+        direct[:, i, o[0] + i * n : o[0] + (i + 1) * n] = x_traj
         direct[:, i, o[1] + i] = u
-    if model.e_map is not None:
-        m_e = phi_e.shape[1]
-        for i in range(n):
-            direct[:, i, o[4] + i * m_e : o[4] + (i + 1) * m_e] = phi_e
-
+    if e_map is None:
+        e_x = np.zeros((t_len, n, n))
+    else:
+        e_x = e_map.d_vars(z)[:, :, :n]
+        direct[:, :, o[4]:o[5]] = e_map.d_params(z)
+    f_x = np.zeros((t_len, n)) if f_map is None else f_map.d_vars(z)[:, 0, :n]
     jx = _state_sensitivities(model.a, e_x, direct, o[6], n)
-    cy = model.c[None, :] + f_x
-    jac = np.einsum("tn,tnp->tp", cy, jx)
-    jac[:, o[2]:o[3]] += xs
+    jac = np.einsum("tn,tnp->tp", model.c[None, :] + f_x, jx)
+    jac[:, o[2]:o[3]] += x_traj
     jac[:, o[3]] += u
-    if model.f_map is not None:
-        jac[:, o[5]:o[6]] += phi_f
-    return sim.y, xs, jac, False
+    if f_map is not None:
+        jac[:, o[5]:o[6]] += f_map.d_params(z)[:, 0, :]
+    return jac
 
 
 def _state_sensitivities(a: np.ndarray, e_x: np.ndarray, direct: np.ndarray,
@@ -473,12 +365,8 @@ def _state_sensitivities(a: np.ndarray, e_x: np.ndarray, direct: np.ndarray,
     return jx
 
 
-def _excited_bins(rec: SignalRecord, lines: np.ndarray) -> np.ndarray:
-    return np.asarray(lines, dtype=int) * rec.num_periods
-
-
 def _freq_residual_factory(rec: SignalRecord, lines, weights):
-    bins = _excited_bins(rec, np.asarray(lines, dtype=int))
+    bins = np.asarray(lines, dtype=int) * rec.num_periods
     if weights is None:
         w = np.ones(len(bins))
     else:
@@ -501,9 +389,11 @@ def fit_pnlss(init: PnlssModel, rec: SignalRecord, lines: np.ndarray,
     Parameters
     ----------
     init : PnlssModel
-        Starting point (typically from :func:`init_linear_from_bla`).  It must
-        simulate the record without divergence; its E must be a PolyMap or
-        absent (use :func:`fit_pnlss_decoupled` for decoupled structures).
+        Starting point (typically from :func:`init_linear_from_bla`, or a
+        reduced model from :func:`single_branch_init`).  It must simulate the
+        record without divergence.  Its E may be a PolyMap, a decoupled
+        ``W g(V^T (x, u))`` or absent, and its F a PolyMap or absent, in any
+        combination.
     lines : array of int
         Excited harmonic indices of the record's period grid.
     state_degree, output_degree : int or None
@@ -513,150 +403,68 @@ def fit_pnlss(init: PnlssModel, rec: SignalRecord, lines: np.ndarray,
 
     Notes
     -----
-    All of A, B, C, D, E, F and x0 are free.  Accepted steps strictly decrease
-    the cost; a trial point whose simulation diverges is treated as infinite
-    cost (step rejected, damping increased).  Persistent divergence at the
-    damping ceiling raises with a report.
+    All of A, B, C, D, x0 and the parameters of E and F (PolyMap
+    coefficients; decoupled W, V and branch coefficients) are free.  A
+    decoupled E gets Marquardt's scaled damping ``diag(J^T J)``, since its
+    parameter blocks carry very different scales; otherwise the damping is
+    ``lam * I``.  Accepted steps strictly decrease the cost; a trial point
+    whose simulation diverges is treated as infinite cost (step rejected,
+    damping increased).  Persistent divergence at the damping ceiling raises
+    with a report.
     """
     model = init
     n = model.state_dim
-    if isinstance(model.e_map, DecoupledFunction):
-        raise TypeError("init carries a decoupled E; use fit_pnlss_decoupled")
     if state_degree is not None and model.e_map is None and state_degree >= 2:
         basis = enumerate_monomials(n + 1, 2, state_degree)
         model = replace(model, e_map=PolyMap(basis, np.zeros((n, len(basis)))))
     if output_degree is not None and model.f_map is None and output_degree >= 2:
         basis = enumerate_monomials(n + 1, 2, output_degree)
         model = replace(model, f_map=PolyMap(basis, np.zeros((1, len(basis)))))
-
-    u = rec.input
-    bins, sqrt_w, y_f = _freq_residual_factory(rec, lines, weights)
-    pack = _ParamPack(model)
-
-    def residual_and_jac(th, with_jac):
-        m = pack.unpack(th, model)
-        if with_jac:
-            y_sim, xs, jac_t, diverged = _output_jacobian_polymap(m, u)
-        else:
-            sim = simulate_pnlss(m, u)
-            y_sim, jac_t, diverged = sim.y, None, sim.diverged
-        if diverged:
-            return None, None
-        r_c = (y_f - np.fft.rfft(y_sim)[bins]) / sqrt_w
-        r = np.concatenate([r_c.real, r_c.imag])
-        if not with_jac:
-            return r, None
-        j_c = -np.fft.rfft(jac_t, axis=0)[bins] / sqrt_w[:, None]
-        return r, np.concatenate([j_c.real, j_c.imag], axis=0)
-
-    theta, costs, iters, status = _lm_minimize(
-        residual_and_jac, pack.pack(model), max_iterations, cost_tol, grad_tol)
-    final = pack.unpack(theta, model)
-    return final, _final_report(final, rec, bins, sqrt_w, y_f, costs, iters, status)
+    return _fit(model, rec, lines, weights, max_iterations, cost_tol, grad_tol)
 
 
 def fit_pnlss_decoupled(init: PnlssModel, rec: SignalRecord, lines: np.ndarray,
                         weights: np.ndarray | None = None, max_iterations: int = 300,
                         cost_tol: float = 1e-9, grad_tol: float = 1e-8) -> tuple[PnlssModel, FitReport]:
-    """Re-optimize a PNLSS model whose state nonlinearity is a decoupled
-    ``W g(V^T (x, u))`` structure.
-
-    Free parameters: A, B, C, D, x0 plus the decoupled W, V and branch
-    coefficients (F, if present, stays fixed; reduced models in this workflow
-    keep the output equation linear).  Same LM engine and cost as
-    :func:`fit_pnlss`.
+    """:func:`fit_pnlss` for a model whose E is a decoupled
+    ``W g(V^T (x, u))``, as in the model-pruning workflow; it never adds maps.
     """
     if not isinstance(init.e_map, DecoupledFunction):
         raise TypeError("init.e_map must be a DecoupledFunction")
-    model = init
-    n = model.state_dim
-    if model.f_map is not None:
-        raise NotImplementedError("decoupled refit assumes a linear output equation")
-    dec = model.e_map
-    r_branches = dec.r
-    deg = max(len(c) for c in dec.branches) - 1
-    coeffs0 = np.zeros((r_branches, deg + 1))
-    for i, c in enumerate(dec.branches):
-        coeffs0[i, : len(c)] = c
+    return _fit(init, rec, lines, weights, max_iterations, cost_tol, grad_tol)
 
-    n_lin = n * n + 3 * n + 1  # A, B, C, D, x0
-    off_a, off_b, off_c = 0, n * n, n * n + n
-    off_d = n * n + 2 * n
-    off_x0 = off_d + 1
-    off_w = n_lin
-    off_v = off_w + n * r_branches
-    off_g = off_v + (n + 1) * r_branches
-    total = off_g + r_branches * (deg + 1)
 
-    def pack(m: PnlssModel) -> np.ndarray:
-        d = m.e_map
-        cf = np.zeros((r_branches, deg + 1))
-        for i, c in enumerate(d.branches):
-            cf[i, : len(c)] = c
-        return np.concatenate([
-            m.a.ravel(), m.b, m.c, [m.d], m.x0,
-            d.w.ravel(), d.v.ravel(), cf.ravel(),
-        ])
-
-    def unpack(th: np.ndarray) -> PnlssModel:
-        d = DecoupledFunction(
-            th[off_w:off_v].reshape(n, r_branches),
-            th[off_v:off_g].reshape(n + 1, r_branches),
-            tuple(th[off_g:].reshape(r_branches, deg + 1)),
-        )
-        return PnlssModel(
-            a=th[off_a:off_b].reshape(n, n), b=th[off_b:off_c],
-            c=th[off_c:off_d], d=float(th[off_d]),
-            e_map=d, f_map=None, x0=th[off_x0:off_x0 + n],
-        )
-
+def _fit(model: PnlssModel, rec: SignalRecord, lines, weights, max_iterations: int,
+         cost_tol: float, grad_tol: float) -> tuple[PnlssModel, FitReport]:
     u = rec.input
-    t_len = len(u)
     bins, sqrt_w, y_f = _freq_residual_factory(rec, lines, weights)
 
-    def residual_and_jac(th, with_jac):
-        m = unpack(th)
+    def residual(theta):
+        m = _unpack(theta, model)
         sim = simulate_pnlss(m, u)
         if sim.diverged:
             return None, None
         r_c = (y_f - np.fft.rfft(sim.y)[bins]) / sqrt_w
-        r = np.concatenate([r_c.real, r_c.imag])
-        if not with_jac:
-            return r, None
-        d = m.e_map
-        xs = sim.x_traj
-        z = np.concatenate([xs, u[:, None]], axis=1)          # (T, n+1)
-        xproj = z @ d.v                                       # (T, r)
-        powers = np.stack([xproj**j for j in range(deg + 1)], axis=2)
-        cf = np.stack(d.branches)                             # (r, deg+1)
-        g = np.einsum("trj,rj->tr", powers, cf)
-        dg = np.zeros_like(xproj)
-        for jp in range(1, deg + 1):
-            dg += jp * cf[:, jp][None, :] * xproj ** (jp - 1)
-        # E_x = W diag(dg) V_x^T
-        e_x = np.einsum("oi,ti,vi->tov", d.w, dg, d.v[:n, :])
-        direct = np.zeros((t_len, n, total))
-        for i in range(n):
-            direct[:, i, off_a + i * n : off_a + (i + 1) * n] = xs
-            direct[:, i, off_b + i] = u
-            direct[:, i, off_w + i * r_branches : off_w + (i + 1) * r_branches] = g
-        # dE/dV[j, l] = W[:, l] * dg_l * z_j   (flat index j*r + l)
-        dv = np.einsum("oi,ti,tj->toji", d.w, dg, z).reshape(t_len, n, (n + 1) * r_branches)
-        direct[:, :, off_v:off_g] = dv
-        dgc = np.einsum("oi,tij->toij", d.w, powers).reshape(t_len, n, r_branches * (deg + 1))
-        direct[:, :, off_g:] = dgc
-        jx = _state_sensitivities(m.a, e_x, direct, off_x0, n)
-        jac_t = np.einsum("n,tnp->tp", m.c, jx)
-        jac_t[:, off_c:off_d] += xs
-        jac_t[:, off_d] += u
-        j_c = -np.fft.rfft(jac_t, axis=0)[bins] / sqrt_w[:, None]
-        return r, np.concatenate([j_c.real, j_c.imag], axis=0)
+        return np.concatenate([r_c.real, r_c.imag]), (m, sim.x_traj)
 
-    theta, costs, iters, status = _lm_minimize(
-        residual_and_jac, pack(model), max_iterations, cost_tol, grad_tol,
-        scaled_damping=True)
-    final = unpack(theta)
-    return final, _final_report(final, rec, bins, sqrt_w, y_f, costs, iters, status)
+    def jacobian(theta, state):
+        m, x_traj = state
+        j_c = -np.fft.rfft(_output_jacobian(m, x_traj, u), axis=0)[bins] / sqrt_w[:, None]
+        return np.concatenate([j_c.real, j_c.imag], axis=0)
+
+    theta, costs, iters, status = levenberg_marquardt(
+        residual, jacobian, _pack(model), max_iterations, cost_tol, grad_tol,
+        scaled_damping=isinstance(model.e_map, DecoupledFunction))
+    final = _unpack(theta, model)
+    sim = simulate_pnlss(final, u)
+    return final, FitReport(
+        cost_trajectory=costs,
+        final_rms_time=float(np.sqrt(np.mean((rec.output - sim.y) ** 2))),
+        final_error_per_line=np.abs(y_f - np.fft.rfft(sim.y)[bins]) / sqrt_w,
+        iterations=iters,
+        status=status,
+        train_states=sim.x_traj,
+    )
 
 
 def single_branch_init(model: PnlssModel, z_traj: np.ndarray,
@@ -669,7 +477,8 @@ def single_branch_init(model: PnlssModel, z_traj: np.ndarray,
     supplied trajectory points, takes the best direction, collapses the power
     block to rank one, and absorbs the linear remainder into A and B.  The
     result is a PnlssModel with a one-branch DecoupledFunction state map,
-    meant as the starting point for :func:`fit_pnlss_decoupled`.
+    meant as the starting point of a refit by :func:`fit_pnlss` (or
+    :func:`fit_pnlss_decoupled`), which may keep an output nonlinearity F.
     """
     if not isinstance(model.e_map, PolyMap):
         raise TypeError("model.e_map must be a PolyMap")
@@ -720,21 +529,6 @@ def single_branch_init(model: PnlssModel, z_traj: np.ndarray,
         a=model.a + lin[:, :n],
         b=model.b + lin[:, n],
         e_map=dec,
-    )
-
-
-def _final_report(model: PnlssModel, rec: SignalRecord, bins, sqrt_w, y_f,
-                  costs, iters, status) -> FitReport:
-    sim = simulate_pnlss(model, rec.input)
-    err_line = np.abs(y_f - np.fft.rfft(sim.y)[bins]) / sqrt_w
-    rms_time = float(np.sqrt(np.mean((rec.output - sim.y) ** 2)))
-    return FitReport(
-        cost_trajectory=np.asarray(costs),
-        final_rms_time=rms_time,
-        final_error_per_line=err_line,
-        iterations=iters,
-        status=status,
-        train_states=sim.x_traj,
     )
 
 

@@ -3,9 +3,9 @@
 A :class:`MonomialBasis` enumerates exponent vectors in a fixed graded
 lexicographic order so that coefficient vectors serialize reproducibly.
 :class:`PolyMap` couples a basis with a coefficient matrix and provides
-vectorized evaluation and analytic Jacobians.  :class:`MonomialPlan` builds
-every monomial of one point from earlier ones, for the per-sample simulation
-loops.
+vectorized evaluation and analytic Jacobians, in the variables and in the
+coefficients.  :class:`MonomialPlan` builds every monomial of one point from
+earlier ones, for the per-sample simulation loops.
 """
 
 from __future__ import annotations
@@ -80,6 +80,20 @@ def enumerate_monomials(n_vars: int, d_min: int, d_max: int) -> MonomialBasis:
     return MonomialBasis(n_vars, d_min, d_max, tuple(exps))
 
 
+def _power_table(basis: MonomialBasis, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``pow_tab[p, j, d] = x_j^d`` up to the basis degree, so each monomial is
+    a product of lookups; also whether ``x`` was a single point."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = x[None, :] if single else x
+    if pts.shape[1] != basis.n_vars:
+        raise ValueError(f"expected {basis.n_vars} variables, got {pts.shape[1]}")
+    pow_tab = np.ones((pts.shape[0], basis.n_vars, basis.degree_max + 1))
+    for d in range(1, basis.degree_max + 1):
+        pow_tab[:, :, d] = pow_tab[:, :, d - 1] * pts
+    return pow_tab, single
+
+
 def eval_monomials(basis: MonomialBasis, x: np.ndarray) -> np.ndarray:
     """Evaluate every basis monomial at one point or a batch of points.
 
@@ -91,18 +105,9 @@ def eval_monomials(basis: MonomialBasis, x: np.ndarray) -> np.ndarray:
     -------
     ndarray, shape (n_monomials,) or (n_points, n_monomials)
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[1] != basis.n_vars:
-        raise ValueError(f"expected {basis.n_vars} variables, got {pts.shape[1]}")
-    # power table: pow_tab[p, j, d] = x_j^d, so each monomial is a product of lookups
-    dmax = basis.degree_max
-    pow_tab = np.ones((pts.shape[0], basis.n_vars, dmax + 1))
-    for d in range(1, dmax + 1):
-        pow_tab[:, :, d] = pow_tab[:, :, d - 1] * pts
+    pow_tab, single = _power_table(basis, x)
     exps = basis.exponent_array
-    vals = np.ones((pts.shape[0], len(basis)))
+    vals = np.ones((pow_tab.shape[0], len(basis)))
     for j in range(basis.n_vars):
         vals *= pow_tab[:, j, exps[:, j]]
     return vals[0] if single else vals
@@ -116,16 +121,9 @@ def monomial_jacobian(basis: MonomialBasis, x: np.ndarray) -> np.ndarray:
     ndarray, shape (n_monomials, n_vars) for a single point or
     (n_points, n_monomials, n_vars) for a batch.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    n_pts = pts.shape[0]
+    pow_tab, single = _power_table(basis, x)
     exps = basis.exponent_array
-    dmax = basis.degree_max
-    pow_tab = np.ones((n_pts, basis.n_vars, dmax + 1))
-    for d in range(1, dmax + 1):
-        pow_tab[:, :, d] = pow_tab[:, :, d - 1] * pts
-    jac = np.empty((n_pts, len(basis), basis.n_vars))
+    jac = np.empty((pow_tab.shape[0], len(basis), basis.n_vars))
     for j in range(basis.n_vars):
         # d/dx_j x_j^e = e * x_j^(e-1); zero exponent kills the term
         ej = exps[:, j]
@@ -224,6 +222,34 @@ class PolyMap:
     def zeros(cls, n_outputs: int, n_vars: int, d_min: int, d_max: int) -> "PolyMap":
         basis = enumerate_monomials(n_vars, d_min, d_max)
         return cls(basis, np.zeros((n_outputs, len(basis))))
+
+    # State-map interface, shared with decouple.DecoupledFunction: the PNLSS
+    # fit reads and writes a map only through these.
+
+    @property
+    def params(self) -> np.ndarray:
+        """Free parameters as one flat vector: the coefficients, row by row."""
+        return self.coefficients.ravel()
+
+    def with_params(self, theta: np.ndarray) -> "PolyMap":
+        return PolyMap(self.basis, np.asarray(theta).reshape(self.coefficients.shape))
+
+    def values(self, z: np.ndarray) -> np.ndarray:
+        """Values at a batch of points, shape (T, n_outputs)."""
+        return eval_polymap(self, z)
+
+    def d_vars(self, z: np.ndarray) -> np.ndarray:
+        """Derivatives in the variables, shape (T, n_outputs, n_vars)."""
+        return jacobian_polymap(self, z)
+
+    def d_params(self, z: np.ndarray) -> np.ndarray:
+        """Derivatives in :attr:`params`, shape (T, n_outputs, n_params)."""
+        phi = eval_monomials(self.basis, z)
+        n_out, m = self.coefficients.shape
+        out = np.zeros((len(phi), n_out, n_out * m))
+        for i in range(n_out):
+            out[:, i, i * m : (i + 1) * m] = phi
+        return out
 
 
 def eval_polymap(p: PolyMap, x: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ on a log grid by marginal likelihood.
 
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import linalg as sp_linalg
@@ -83,6 +84,13 @@ class RegularizerSpec:
     def __post_init__(self):
         if self.tuning not in ("fixed", "marginal_likelihood_grid"):
             raise ValueError("tuning must be 'fixed' or 'marginal_likelihood_grid'")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "tuning" and (isinstance(value, bool)
+                                       or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+        if not isinstance(self.grid_points, numbers.Integral) or self.grid_points < 1:
+            raise ValueError(f"grid_points must be a positive integer, got {self.grid_points!r}")
 
 
 def decaying_correlation_matrix(m: int, scale: float, decay: float, corr: float) -> np.ndarray:

@@ -336,22 +336,23 @@ def test_criterion_08_invariant_suites():
     truth = replace(template, e_map=PolyMap(basis, 0.05 * rng.normal(size=(2, len(basis)))))
     y = simulate_pnlss(truth, u).y
     rec = SignalRecord(1.0, 128, 1, u, y)
-    pack = P._ParamPack(template)
     bins_idx, sqrt_w, y_f = P._freq_residual_factory(rec, np.arange(1, 40), None)
 
     def cost(th):
-        sim = simulate_pnlss(pack.unpack(th, template), u)
+        sim = simulate_pnlss(P._unpack(th, template), u)
         r_c = (y_f - np.fft.rfft(sim.y)[bins_idx]) / sqrt_w
         return float(np.sum(np.abs(r_c) ** 2))
 
     worst = 0.0
+    theta0 = P._pack(template)
     for _ in range(5):
-        theta = pack.pack(template) + 0.01 * rng.normal(size=pack.total)
-        _, _, jac_t, diverged = P._output_jacobian_polymap(pack.unpack(theta, template), u)
-        assert not diverged
+        theta = theta0 + 0.01 * rng.normal(size=len(theta0))
+        m = P._unpack(theta, template)
+        sim = simulate_pnlss(m, u)
+        assert not sim.diverged
+        jac_t = P._output_jacobian(m, sim.x_traj, u)
         j_c = -np.fft.rfft(jac_t, axis=0)[bins_idx] / sqrt_w[:, None]
         j = np.concatenate([j_c.real, j_c.imag], axis=0)
-        sim = simulate_pnlss(pack.unpack(theta, template), u)
         r_c = (y_f - np.fft.rfft(sim.y)[bins_idx]) / sqrt_w
         r = np.concatenate([r_c.real, r_c.imag])
         g_an = 2.0 * j.T @ r

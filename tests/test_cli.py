@@ -78,18 +78,31 @@ def test_simulate_bad_system_or_noise_value_exit_2(tmp_path, capsys, system, noi
     assert not (out / "record.csv").exists()
 
 
-def test_fit_volterra_bad_regularizer_value_exit_2(tmp_path, capsys):
+def _fit_volterra_exit_code(tmp_path, regularizer: dict) -> int:
     rng = np.random.default_rng(0)
     write_signal_record(tmp_path / "rec.csv",
                         SignalRecord(1.0, 64, 2, rng.normal(size=128), rng.normal(size=128)))
     cfg = write_config(tmp_path, "vol.json", {
         "schema_version": 1, "record": str(tmp_path / "rec.csv"), "memory": 4,
-        "regularizer": {"tuning": "bogus"},
+        "regularizer": regularizer,
     })
-    out = tmp_path / "vol"
-    assert run_cli("fit-volterra", "--config", cfg, "--out", str(out)) == 2
+    code = run_cli("fit-volterra", "--config", cfg, "--out", str(tmp_path / "vol"))
+    assert not (tmp_path / "vol" / "volterra.json").exists()
+    return code
+
+
+def test_fit_volterra_bad_regularizer_value_exit_2(tmp_path, capsys):
+    assert _fit_volterra_exit_code(tmp_path, {"tuning": "bogus"}) == 2
     assert "tuning" in capsys.readouterr().err
-    assert not (out / "volterra.json").exists()
+
+
+@pytest.mark.parametrize("regularizer", [
+    {"scale_1": "x"},
+    {"tuning": "marginal_likelihood_grid", "grid_points": "x"},
+])
+def test_fit_volterra_non_numeric_regularizer_exit_2(tmp_path, capsys, regularizer):
+    assert _fit_volterra_exit_code(tmp_path, regularizer) == 2
+    assert next(iter(regularizer.keys() - {"tuning"})) in capsys.readouterr().err
 
 
 def test_fit_pnlss_rejects_more_than_one_record(tmp_path, capsys):
@@ -355,15 +368,6 @@ def test_pipeline_full_grid_exit_2_before_any_stage(tmp_path, capsys):
     assert run_cli("pipeline", "--config", cfg, "--out", str(out)) == 2
     assert "odd excitation grid" in capsys.readouterr().err
     assert list(out.iterdir()) == []
-
-
-def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, "design.json", design_config())
-    monkeypatch.setenv("NLSID_THREADS", "not-a-number")
-    assert run_cli("design", "--config", cfg, "--out", str(tmp_path / "o")) == 2
-    assert "NLSID_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("NLSID_THREADS", "2")
-    assert run_cli("design", "--config", cfg, "--out", str(tmp_path / "o")) == 0
 
 
 def test_missing_config_file_exit_2(tmp_path):

@@ -234,7 +234,21 @@ def _fd_gradient(fun, theta, eps=1e-6):
     return g
 
 
-def test_analytic_gradient_matches_finite_differences():
+# E of each kind over (x1, x2, u); the r = 2 branches have unequal lengths,
+# so the fit's parameter vector holds a zero-padded coefficient
+E_MAPS = {
+    "polymap": lambda basis: PolyMap(basis, np.zeros((2, len(basis)))),
+    "decoupled_r1": lambda basis: DecoupledFunction(
+        [[0.3], [-0.1]], [[0.8], [0.2], [0.4]], ([0.0, 0.0, -0.15, -0.05],)),
+    "decoupled_r2": lambda basis: DecoupledFunction(
+        [[0.3, 0.1], [-0.1, 0.2]], [[0.8, -0.3], [0.2, 0.5], [0.4, 0.1]],
+        ([0.0, 0.0, -0.15, -0.05], [0.0, 0.1, 0.08])),
+}
+
+
+@pytest.mark.parametrize("f_kind", [None, "polymap"])
+@pytest.mark.parametrize("e_kind", sorted(E_MAPS))
+def test_analytic_gradient_matches_finite_differences(e_kind, f_kind):
     # small instance: n=2, degree 2, N=128, five random parameter points
     import nlsid.pnlss as P
 
@@ -244,16 +258,13 @@ def test_analytic_gradient_matches_finite_differences():
     y = simulate_pnlss(truth, u).y
     rec = SignalRecord(1.0, 128, 1, u, y)
     basis = enumerate_monomials(3, 2, 2)
-    template = PnlssModel(a=truth.a, b=truth.b, c=truth.c, d=truth.d,
-                          e_map=PolyMap(basis, np.zeros((2, len(basis)))),
-                          f_map=PolyMap(basis, np.zeros((1, len(basis)))),
-                          x0=truth.x0)
-    pack = P._ParamPack(template)
+    template = replace(truth, e_map=E_MAPS[e_kind](basis),
+                       f_map=None if f_kind is None else PolyMap(basis, np.zeros((1, len(basis)))))
     lines = np.arange(1, 40)
     bins, sqrt_w, y_f = P._freq_residual_factory(rec, lines, None)
 
     def residual(th):
-        m = pack.unpack(th, template)
+        m = P._unpack(th, template)
         sim = simulate_pnlss(m, u)
         r_c = (y_f - np.fft.rfft(sim.y)[bins]) / sqrt_w
         return np.concatenate([r_c.real, r_c.imag])
@@ -262,17 +273,50 @@ def test_analytic_gradient_matches_finite_differences():
         r = residual(th)
         return float(r @ r)
 
-    theta0 = pack.pack(template)
+    theta0 = P._pack(template)
     for trial in range(5):
         theta = theta0 + 0.01 * rng.normal(size=len(theta0))
-        y_sim, xs, jac_t, diverged = P._output_jacobian_polymap(pack.unpack(theta, template), u)
-        assert not diverged
-        j_c = -np.fft.rfft(jac_t, axis=0)[bins] / sqrt_w[:, None]
+        m = P._unpack(theta, template)
+        sim = simulate_pnlss(m, u)
+        assert not sim.diverged
+        j_c = -np.fft.rfft(P._output_jacobian(m, sim.x_traj, u), axis=0)[bins] / sqrt_w[:, None]
         j = np.concatenate([j_c.real, j_c.imag], axis=0)
         g_analytic = 2.0 * j.T @ residual(theta)
         g_fd = _fd_gradient(cost, theta)
         scale = np.maximum(np.abs(g_fd), 1e-6 * np.max(np.abs(g_fd)))
         assert np.max(np.abs(g_analytic - g_fd) / scale) < 1e-4
+
+
+def test_fit_simulates_each_lm_point_once(monkeypatch):
+    # the Jacobian at an accepted point reuses that trial's simulation: one
+    # run for the start, one per LM trial and one for the report
+    import nlsid.pnlss as P
+
+    truth = cubic_feedback_model(alpha=-0.08)
+    u = tile_periods(design_multisine(random_phases(
+        flat_amplitude_spec(256, 1.0, full_grid(256, 60), rms=1.0), 7)), 1)
+    rec = SignalRecord(1.0, 256, 1, u, simulate_pnlss(truth, u).y)
+    points, residual_calls = [], []
+    simulate, engine = P.simulate_pnlss, P.levenberg_marquardt
+
+    def counted_simulate(model, inputs, x0=None):
+        points.append(P._pack(model).tobytes())
+        return simulate(model, inputs, x0)
+
+    def counted_engine(residual, *args, **kwargs):
+        def counted_residual(theta):
+            residual_calls.append(1)
+            return residual(theta)
+        return engine(counted_residual, *args, **kwargs)
+
+    monkeypatch.setattr(P, "simulate_pnlss", counted_simulate)
+    monkeypatch.setattr(P, "levenberg_marquardt", counted_engine)
+    fitted, report = fit_pnlss(replace(truth, e_map=None), rec, np.arange(1, 80),
+                               state_degree=3, max_iterations=10)
+    assert len(residual_calls) > len(report.cost_trajectory) > 1
+    assert len(points) == len(residual_calls) + 1
+    assert len(set(points[:-1])) == len(points) - 1
+    assert points[-1] == P._pack(fitted).tobytes()
 
 
 def test_fit_self_consistency_from_perturbed_truth():
@@ -374,6 +418,26 @@ def test_fit_decoupled_self_consistency():
     fitted, report = fit_pnlss_decoupled(start, rec, np.arange(0, 128))
     assert report.final_rms_time < 1e-6 * np.sqrt(np.mean(y**2))
     assert np.all(np.diff(report.cost_trajectory) <= 0.0)
+
+
+def test_fit_decoupled_state_map_with_output_polynomial():
+    rng = np.random.default_rng(13)
+    dec = DecoupledFunction(np.array([[0.3], [-0.1]]), np.array([[0.8], [0.2], [0.4]]),
+                            (np.array([0.0, 0.0, -0.15, -0.05]),))
+    basis = enumerate_monomials(3, 2, 2)
+    f_map = PolyMap(basis, 0.02 * rng.normal(size=(1, len(basis))))
+    truth = PnlssModel(a=np.array([[1.2, -0.5], [1.0, 0.0]]), b=[0.4, 0.0],
+                       c=[0.5, 0.1], d=0.0, e_map=dec, f_map=f_map, x0=[0.0, 0.0])
+    u = tile_periods(design_multisine(random_phases(
+        flat_amplitude_spec(256, 1.0, full_grid(256, 60), rms=1.0), 9)), 1)
+    y = simulate_pnlss(truth, u).y
+    rec = SignalRecord(1.0, 256, 1, u, y)
+    start = replace(truth, e_map=DecoupledFunction(
+        dec.w * 1.05, dec.v * 0.95, (dec.branches[0] * 1.1,)),
+        f_map=PolyMap(basis, f_map.coefficients * 0.9))
+    fitted, report = fit_pnlss(start, rec, np.arange(0, 128), state_degree=None)
+    assert isinstance(fitted.e_map, DecoupledFunction) and fitted.f_map is not None
+    assert report.final_rms_time < 1e-6 * np.sqrt(np.mean(y**2))
 
 
 def test_fit_decoupled_requires_decoupled_map():
