@@ -66,6 +66,17 @@ def _config_values(build):
     return checked
 
 
+def _read_record(path) -> signals.SignalRecord:
+    """Report a record that fails to load (missing or malformed files, a
+    non-finite sample) as a config error (exit 2).  ``read_signal_record`` is
+    looked up at each call, so code that replaces the module attribute (a
+    tracer, a test double) sees every read."""
+    try:
+        return read_signal_record(path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"record {path} does not load: {exc}") from exc
+
+
 def _load_config(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text())
@@ -192,7 +203,7 @@ def cmd_simulate(config: dict, out: Path, seed_override: int | None) -> None:
         fs = spec.sample_rate_hz
         write_json(out / "multisine.json", spec.to_dict())
     elif "input_csv" in config:
-        rec_in = read_signal_record(config["input_csv"])
+        rec_in = _read_record(config["input_csv"])
         u_period = rec_in.input[: rec_in.period_samples]
         fs = rec_in.sample_rate_hz
     else:
@@ -206,7 +217,7 @@ def cmd_analyze(config: dict, out: Path, seed_override: int | None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "record", "spec", "discard_periods",
                          "threshold_db", "smoothing_window"})
-    rec = read_signal_record(_require(config, "record"))
+    rec = _read_record(_require(config, "record"))
     spec = signals.MultisineSpec.from_dict(read_json(_require(config, "spec")))
     _require_odd_grid(spec.grid_kind, "analyze")
     stats = nonparam.sample_statistics(rec, int(config.get("discard_periods", 0)))
@@ -239,7 +250,7 @@ def cmd_analyze(config: dict, out: Path, seed_override: int | None) -> None:
 def cmd_bla(config: dict, out: Path, seed_override: int | None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "records", "spec", "discard_periods"})
-    recs = [read_signal_record(p) for p in _require(config, "records", list)]
+    recs = [_read_record(p) for p in _require(config, "records", list)]
     spec = signals.MultisineSpec.from_dict(read_json(_require(config, "spec")))
     model = bla_mod.estimate_bla_spectral(recs, spec, int(config.get("discard_periods", 0)))
     write_json(out / "bla.json", model.to_dict())
@@ -251,7 +262,7 @@ def cmd_bla(config: dict, out: Path, seed_override: int | None) -> None:
 def cmd_fit_narx(config: dict, out: Path, seed_override: int | None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "record", "na", "nb", "degree", "direct_term"})
-    rec = read_signal_record(_require(config, "record"))
+    rec = _read_record(_require(config, "record"))
     model = narx_mod.fit_narx(rec, int(_require(config, "na")), int(_require(config, "nb")),
                               int(_require(config, "degree")),
                               bool(config.get("direct_term", True)))
@@ -266,7 +277,7 @@ def cmd_fit_pnlss(config: dict, out: Path, seed_override: int | None) -> None:
     paths = config["records"] if "records" in config else [_require(config, "record")]
     if len(paths) != 1:
         raise ConfigError("fit-pnlss fits one record: give 'record' or one entry in 'records'")
-    rec = read_signal_record(paths[0])
+    rec = _read_record(paths[0])
     model_bla = bla_mod.estimate_bla_spectral([rec], spec)
     lin, frf_rms = pnlss.init_linear_from_bla(model_bla, int(config.get("state_dim", 2)))
     lines = np.asarray(config.get("lines", list(spec.excited_lines)), dtype=int)
@@ -285,7 +296,7 @@ def cmd_fit_pnlss(config: dict, out: Path, seed_override: int | None) -> None:
 def cmd_fit_volterra(config: dict, out: Path, seed_override: int | None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "record", "memory", "degree", "regularizer"})
-    rec = read_signal_record(_require(config, "record"))
+    rec = _read_record(_require(config, "record"))
     reg_cfg = config.get("regularizer", {})
     _check_keys(reg_cfg, {"scale_1", "decay_1", "corr_1", "scale_2", "decay_2",
                           "corr_2", "tuning", "grid_points", "grid_span"}, "regularizer")
@@ -318,7 +329,7 @@ def cmd_decouple(config: dict, out: Path, seed_override: int | None) -> None:
         f = source_model.e_map
         points = None
         if "record" in config:
-            rec = read_signal_record(config["record"])
+            rec = _read_record(config["record"])
             sim = pnlss.simulate_pnlss(source_model, rec.input)
             if sim.diverged:
                 raise simulators.SimulationDiverged(sim.divergence_index, np.inf)
@@ -370,7 +381,7 @@ def _simulate_model(model_cfg_path: str, rec: signals.SignalRecord):
 def cmd_validate(config: dict, out: Path, seed_override: int | None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "record", "model", "max_lag", "warmup"})
-    rec = read_signal_record(_require(config, "record"))
+    rec = _read_record(_require(config, "record"))
     y_sim, _ = _simulate_model(_require(config, "model"), rec)
     warmup = int(config.get("warmup", 0))
     max_lag = int(config.get("max_lag", 40))

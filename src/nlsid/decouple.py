@@ -4,9 +4,11 @@ A coupled polynomial map ``q = f(p)`` is rewritten as ``q = W g(V^T p)`` with
 ``r`` univariate polynomial branches ``g_i``.  The construction samples the
 Jacobian of ``f`` on a point cloud, stacks the evaluations into a three-way
 tensor, and computes a canonical polyadic decomposition by alternating least
-squares; the first two factor modes deliver W and V and the branches follow
-from a linear fit.  An approximate (reduced-rank) variant refines all factors
-jointly by Levenberg-Marquardt on weighted function residuals.
+squares, in one run from a HOSVD start; the first two factor modes deliver W
+and V, the branches follow from a linear fit, and a short joint
+Levenberg-Marquardt polish finishes the start.  The exact and the approximate
+(reduced-rank) decouplings share that start; the approximate one refines all
+factors jointly on weighted function residuals, from a few seeded starts.
 """
 
 from __future__ import annotations
@@ -170,63 +172,51 @@ class CpdResult:
     converged: bool
 
 
-def cpd_als(tensor: np.ndarray, rank: int, seed: int = 0, max_sweeps: int = 2000,
-            rel_tol: float = 1e-10, restarts: int = 5,
-            restart_threshold: float = 1e-8) -> CpdResult:
+CPD_MAX_SWEEPS = 2000
+CPD_REL_TOL = 1e-10     # stop once a sweep changes the relative error by less
+CPD_CONVERGED = 1e-8    # relative error at or below which the CPD is exact
+
+
+def cpd_als(tensor: np.ndarray, rank: int, seed: int = 0) -> CpdResult:
     """Rank-``rank`` canonical polyadic decomposition of a 3-way tensor by ALS.
 
-    Restarts with a fresh random initialization (up to ``restarts`` times)
-    when the sweep stagnates above ``restart_threshold`` relative error; the
-    best factorization found is returned, flagged unconverged if it never
-    reached the threshold.
+    One run from a HOSVD start: the leading left singular vectors of each
+    unfolding, padded with seeded noise where a mode is thinner than the
+    rank.  Sweeps stop when the relative error changes by less than
+    ``CPD_REL_TOL`` of itself, or after ``CPD_MAX_SWEEPS``.  ``converged``
+    means the relative error reached ``CPD_CONVERGED``; a rank the tensor
+    cannot reach exactly reports ``converged=False`` with the fit it reached.
     """
     norm = np.linalg.norm(tensor)
     if norm == 0.0:
-        shape = tensor.shape
-        zf = tuple(np.zeros((s, rank)) for s in shape)
-        return CpdResult(zf, 0.0, np.zeros(1), True)
-    best: CpdResult | None = None
-    for attempt in range(restarts + 1):
-        rng = np.random.default_rng(seed + 7919 * attempt)
-        if attempt == 0:
-            # HOSVD-flavored start: leading left singular vectors per mode,
-            # padded with noise where the mode is thinner than the rank
-            factors = []
-            for mode in range(3):
-                u_sv = np.linalg.svd(_unfold(tensor, mode), full_matrices=False)[0]
-                take = min(rank, u_sv.shape[1])
-                f = np.concatenate(
-                    [u_sv[:, :take],
-                     0.1 * rng.standard_normal((tensor.shape[mode], rank - take))],
-                    axis=1,
-                )
-                factors.append(f)
-        else:
-            factors = [rng.standard_normal((s, rank)) for s in tensor.shape]
-        errors = []
-        prev = np.inf
-        unfoldings = [_unfold(tensor, m) for m in range(3)]
-        for _ in range(max_sweeps):
-            for mode in range(3):
-                others = [factors[m] for m in range(3) if m != mode]
-                kr = _khatri_rao(others[0], others[1])
-                gram = (others[0].T @ others[0]) * (others[1].T @ others[1])
-                rhs = unfoldings[mode] @ kr
-                factors[mode] = np.linalg.solve(
-                    gram + 1e-14 * np.eye(rank) * max(np.trace(gram), 1.0), rhs.T
-                ).T
-            err = _cpd_error(unfoldings[0], factors, norm)
-            errors.append(err)
-            if abs(prev - err) < rel_tol * max(prev, 1e-300):
-                break
-            prev = err
-        result = CpdResult(tuple(factors), errors[-1], np.asarray(errors),
-                           errors[-1] <= restart_threshold)
-        if best is None or result.rel_error < best.rel_error:
-            best = result
-        if best.rel_error <= restart_threshold:
+        return CpdResult(tuple(np.zeros((s, rank)) for s in tensor.shape), 0.0, np.zeros(1), True)
+    rng = np.random.default_rng(seed)
+    unfoldings = [_unfold(tensor, m) for m in range(3)]
+    factors = []
+    for mode in range(3):
+        u_sv = np.linalg.svd(unfoldings[mode], full_matrices=False)[0]
+        take = min(rank, u_sv.shape[1])
+        factors.append(np.concatenate(
+            [u_sv[:, :take], 0.1 * rng.standard_normal((tensor.shape[mode], rank - take))],
+            axis=1))
+    errors = []
+    prev = np.inf
+    for _ in range(CPD_MAX_SWEEPS):
+        for mode in range(3):
+            others = [factors[m] for m in range(3) if m != mode]
+            kr = _khatri_rao(others[0], others[1])
+            gram = (others[0].T @ others[0]) * (others[1].T @ others[1])
+            rhs = unfoldings[mode] @ kr
+            factors[mode] = np.linalg.solve(
+                gram + 1e-14 * np.eye(rank) * max(np.trace(gram), 1.0), rhs.T
+            ).T
+        err = _cpd_error(unfoldings[0], factors, norm)
+        errors.append(err)
+        if abs(prev - err) < CPD_REL_TOL * max(prev, 1e-300):
             break
-    return best
+        prev = err
+    return CpdResult(tuple(factors), errors[-1], np.asarray(errors),
+                     errors[-1] <= CPD_CONVERGED)
 
 
 def _unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
@@ -255,37 +245,23 @@ class DecoupleResult:
     cpd_error: float
 
 
-def _sample_cloud(rng: np.random.Generator, num_points: int, n_vars: int,
-                  domain) -> np.ndarray:
-    if domain is None:
-        lo = -np.ones(n_vars)
-        hi = np.ones(n_vars)
-    else:
-        lo = np.broadcast_to(np.asarray(domain[0], dtype=float), (n_vars,))
-        hi = np.broadcast_to(np.asarray(domain[1], dtype=float), (n_vars,))
-    return rng.uniform(lo, hi, size=(num_points, n_vars))
-
-
-def _cloud_or_points(rng: np.random.Generator, num_points: int, n_vars: int,
-                     domain, points: np.ndarray | None) -> np.ndarray:
+def _cloud(seed: int, count: int, n_vars: int, domain,
+           points: np.ndarray | None) -> np.ndarray:
+    """``count`` seeded points: uniform in ``domain`` (default the unit box),
+    or a random subset of the caller's ``points`` (all of them when there are
+    no more than ``count``)."""
+    rng = np.random.default_rng(seed)
     if points is None:
-        return _sample_cloud(rng, num_points, n_vars, domain)
+        lo, hi = (-1.0, 1.0) if domain is None else domain
+        return rng.uniform(np.broadcast_to(np.asarray(lo, dtype=float), (n_vars,)),
+                           np.broadcast_to(np.asarray(hi, dtype=float), (n_vars,)),
+                           size=(count, n_vars))
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != n_vars:
         raise ValueError(f"points must have {n_vars} columns")
-    if len(pts) > num_points:
-        pts = pts[rng.choice(len(pts), num_points, replace=False)]
+    if len(pts) > count:
+        pts = pts[rng.choice(len(pts), count, replace=False)]
     return pts
-
-
-def _test_cloud(seed: int, num_points: int, n_vars: int, domain,
-                points: np.ndarray | None) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    if points is None:
-        return _sample_cloud(rng, max(num_points, 256), n_vars, domain)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    take = min(len(pts), max(num_points, 256))
-    return pts[rng.choice(len(pts), take, replace=False)]
 
 
 def canonicalize(d: DecoupledFunction) -> DecoupledFunction:
@@ -329,9 +305,10 @@ def decouple_exact(f: PolyMap, r: int, num_points: int = 500, seed: int = 0,
     """Exact tensor-based decoupling of a polynomial map.
 
     Evaluates the Jacobian of ``f`` at ``num_points`` seeded random points,
-    stacks the matrices into an ``n_q x n_p x T`` tensor, computes its rank-r
-    CPD by ALS (with restarts), reads W and V off the first two modes, and
-    fits the univariate branches by least squares on the function values.
+    stacks the matrices into an ``n_q x n_p x T`` tensor, reads W and V off
+    its rank-r CPD (one ALS run, :func:`cpd_als`), fits the univariate
+    branches by least squares on the function values, and polishes all
+    factors by a short joint Levenberg-Marquardt run.
 
     ``domain`` bounds the sampled cloud (default the unit box); alternatively
     ``points`` supplies the cloud directly, e.g. states visited by a model, so
@@ -341,20 +318,71 @@ def decouple_exact(f: PolyMap, r: int, num_points: int = 500, seed: int = 0,
     ``max |f(p) - W g(V^T p)|`` is evaluated on a fresh test cloud.  CPD
     stagnation is reported through ``converged=False``, never raised.
     """
+    pts = _cloud(seed, num_points, f.n_vars, domain, points)
+    func, cpd = _initial_decoupling(f, r, branch_degree, pts, seed)
+    test = _cloud(seed + 1, max(num_points, 256), f.n_vars, domain, points)
+    return _result(f, func, cpd, test, np.ones(f.n_outputs))
+
+
+def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
+                    weight: np.ndarray | None = None, num_points: int = 500,
+                    seed: int = 0, domain=None, max_iterations: int = 200,
+                    restarts: int = 2, points: np.ndarray | None = None) -> DecoupleResult:
+    """Approximate rank-r decoupling with joint Levenberg-Marquardt refinement.
+
+    Each of ``restarts + 1`` attempts builds the start of
+    :func:`decouple_exact` on the positively weighted outputs, over its own
+    cloud of seed ``seed + 101 * attempt``, then refines W, V and the branch
+    coefficients together on weighted function residuals over the cloud of
+    ``seed`` (or caller-supplied ``points``).  The attempt with the lowest
+    cost wins; divergence inside LM just returns the best iterate.
+    The reported residuals use a held-out cloud.  ``weight`` is per-output; a
+    zero weight removes that output from the objective exactly.
+    ``converged`` and ``cpd_error`` are those of the CPD that started the
+    winning attempt, so a rank the map cannot reach exactly reports
+    ``converged=False``.
+    """
+    w_out = np.ones(f.n_outputs) if weight is None else np.asarray(weight, dtype=float)
+    if w_out.shape != (f.n_outputs,) or np.any(w_out < 0):
+        raise ValueError("weight must be a nonnegative vector, one entry per output")
+    pts = _cloud(seed, num_points, f.n_vars, domain, points)
+    f_vals = eval_polymap(f, pts)
+    # zero-weight outputs are excluded end to end: the CPD initialization only
+    # ever sees the active rows, and their W rows stay at zero through the LM
+    active = np.flatnonzero(w_out > 0)
+    if len(active) == 0:
+        raise ValueError("at least one output must carry positive weight")
+    f_active = PolyMap(f.basis, f.coefficients[active])
+    best: tuple[float, DecoupledFunction, CpdResult] | None = None
+    for attempt in range(restarts + 1):
+        s = seed + 101 * attempt
+        init, cpd = _initial_decoupling(f_active, r, branch_degree,
+                                        _cloud(s, num_points, f.n_vars, domain, points), s)
+        w_full = np.zeros((f.n_outputs, r))
+        w_full[active] = init.w
+        start = DecoupledFunction(w_full, init.v, init.branches)
+        cost, func = _lm_refine(start, pts, f_vals, w_out, max_iterations)
+        if best is None or cost < best[0]:
+            best = (cost, func, cpd)
+    _, func, cpd = best
+    held = _cloud(seed + 9999, max(num_points, 256), f.n_vars, domain, points)
+    return _result(f, func, cpd, held, w_out)
+
+
+def _initial_decoupling(f: PolyMap, r: int, degree: int | None, pts: np.ndarray,
+                        seed: int) -> tuple[DecoupledFunction, CpdResult]:
+    """Rank-r start on ``pts``: W and V from the CPD of the stacked Jacobians
+    of ``f``, branches of ``degree`` (default that of ``f``) by alternating
+    least squares, then a 30-iteration joint LM polish."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if f.basis.degree_max < 1:
         raise ValueError("f must have degree >= 1 to carry Jacobian information")
-    degree = f.basis.degree_max if branch_degree is None else branch_degree
-    rng = np.random.default_rng(seed)
-    pts = _cloud_or_points(rng, num_points, f.n_vars, domain, points)
-    jac = jacobian_polymap(f, pts)  # (T, n_q, n_p)
-    tensor = np.moveaxis(jac, 0, 2)  # (n_q, n_p, T)
+    degree = f.basis.degree_max if degree is None else degree
+    tensor = np.moveaxis(jacobian_polymap(f, pts), 0, 2)  # (n_q, n_p, T)
     cpd = cpd_als(tensor, r, seed=seed)
-    w, v = cpd.factors[0], cpd.factors[1]
     # unit-norm directions; scales are re-estimated by the branch fit
-    w = _safe_normalize(w)
-    v = _safe_normalize(v)
+    w, v = (m / np.maximum(np.linalg.norm(m, axis=0), 1e-300) for m in cpd.factors[:2])
     f_vals = eval_polymap(f, pts)
     zeros = np.zeros((r, degree + 1))
     prev_err = np.inf
@@ -374,75 +402,21 @@ def decouple_exact(f: PolyMap, r: int, num_points: int = 500, seed: int = 0,
     # alternating updates (machine precision for exactly decomposable maps)
     _, func = _lm_refine(DecoupledFunction(w, v, branches), pts, f_vals,
                          np.ones(f.n_outputs), max_iterations=30)
+    return func, cpd
+
+
+def _result(f: PolyMap, func: DecoupledFunction, cpd: CpdResult, test: np.ndarray,
+            w_out: np.ndarray) -> DecoupleResult:
+    """Canonical ``func`` with its weighted residual on the held-out ``test``."""
     func = canonicalize(func)
-    test = _test_cloud(seed + 1, num_points, f.n_vars, domain, points)
-    resid = eval_polymap(f, test) - eval_decoupled(func, test)
+    active = np.flatnonzero(w_out > 0)
+    resid = (eval_polymap(f, test) - eval_decoupled(func, test))[:, active] * np.sqrt(w_out[active])
     return DecoupleResult(
         function=func,
         residual_max=float(np.max(np.abs(resid))),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         converged=cpd.converged,
         cpd_error=cpd.rel_error,
-    )
-
-
-def _safe_normalize(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=0)
-    norms[norms == 0.0] = 1.0
-    return m / norms
-
-
-def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
-                    weight: np.ndarray | None = None, num_points: int = 500,
-                    seed: int = 0, domain=None, max_iterations: int = 200,
-                    restarts: int = 2, points: np.ndarray | None = None) -> DecoupleResult:
-    """Approximate rank-r decoupling with joint Levenberg-Marquardt refinement.
-
-    Starts from the CPD-based construction of :func:`decouple_exact`, then
-    refines W, V and the branch coefficients together on weighted function
-    residuals over the seeded point cloud (or caller-supplied ``points``).
-    The reported residuals use a held-out cloud.  ``weight`` is per-output; a
-    zero weight removes that output from the objective exactly.  The best of
-    ``restarts + 1`` seeded attempts is returned; divergence inside LM just
-    returns the best iterate.  ``converged`` and ``cpd_error`` are those of
-    the CPD that initialized the winning attempt, so a rank the map cannot
-    reach exactly reports ``converged=False``.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    degree = f.basis.degree_max if branch_degree is None else branch_degree
-    w_out = np.ones(f.n_outputs) if weight is None else np.asarray(weight, dtype=float)
-    if w_out.shape != (f.n_outputs,) or np.any(w_out < 0):
-        raise ValueError("weight must be a nonnegative vector, one entry per output")
-    rng = np.random.default_rng(seed)
-    pts = _cloud_or_points(rng, num_points, f.n_vars, domain, points)
-    f_vals = eval_polymap(f, pts)
-    # zero-weight outputs are excluded end to end: the CPD initialization only
-    # ever sees the active rows, and their W rows stay at zero through the LM
-    active = np.flatnonzero(w_out > 0)
-    if len(active) == 0:
-        raise ValueError("at least one output must carry positive weight")
-    f_active = PolyMap(f.basis, f.coefficients[active])
-    best: tuple[float, DecoupledFunction, DecoupleResult] | None = None
-    for attempt in range(restarts + 1):
-        init = decouple_exact(f_active, r, num_points=num_points, seed=seed + 101 * attempt,
-                              domain=domain, branch_degree=degree, points=points)
-        w_full = np.zeros((f.n_outputs, r))
-        w_full[active] = init.function.w
-        start = DecoupledFunction(w_full, init.function.v, init.function.branches)
-        cost, func = _lm_refine(start, pts, f_vals, w_out, max_iterations)
-        if best is None or cost < best[0]:
-            best = (cost, func, init)
-    _, func, init = best
-    func = canonicalize(func)
-    held = _test_cloud(seed + 9999, num_points, f.n_vars, domain, points)
-    resid = (eval_polymap(f, held) - eval_decoupled(func, held))[:, active] * np.sqrt(w_out[active])
-    return DecoupleResult(
-        function=func,
-        residual_max=float(np.max(np.abs(resid))),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        converged=init.converged,
-        cpd_error=init.cpd_error,
     )
 
 
@@ -461,10 +435,10 @@ def _lm_refine(func: DecoupledFunction, pts: np.ndarray, f_vals: np.ndarray,
     def jacobian(theta, trial):
         return (trial.d_params(pts) * sqrt_w[:, None]).reshape(-1, len(theta))
 
-    theta, costs, _, _ = levenberg_marquardt(residual, jacobian, func.params, max_iterations,
-                                             cost_tol=1e-12, grad_tol=1e-12,
-                                             scaled_damping=True)
-    return float(costs[-1]), func.with_params(theta)
+    _, costs, _, _, final = levenberg_marquardt(residual, jacobian, func.params,
+                                                max_iterations, cost_tol=1e-12,
+                                                grad_tol=1e-12, scaled_damping=True)
+    return float(costs[-1]), final
 
 
 def to_polymap(d: DecoupledFunction) -> PolyMap:

@@ -26,22 +26,28 @@ def levenberg_marquardt(residual, jacobian, theta0: np.ndarray, max_iterations: 
     Marquardt form ``lam * diag(J^T J)``, which is insensitive to parameter
     scaling (used where parameter blocks carry very different scales).
 
-    Returns ``(theta, accepted costs, iterations, status)``.
+    The Jacobian is built at the top of each iteration, so a run that stops
+    on ``max_iterations`` builds none it does not use.
+
+    Returns ``(theta, accepted costs, iterations, status, state)``, where
+    ``state`` is that of the evaluation at the returned ``theta``.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     r, state = residual(theta)
     if r is None:
         raise ValueError("initial point diverges")
-    j = jacobian(theta, state)
     cost = float(r @ r)
     costs = [cost]
     n_par = len(theta)
-    lam = 1e-3 if scaled_damping else max(1e-3 * float(np.einsum("ij,ij->", j, j)) / n_par,
-                                           1e-300)
+    lam = None
     status = "max_iterations"
     it = 0
     small_drops = 0
     for it in range(1, max_iterations + 1):
+        j = jacobian(theta, state)
+        if lam is None:
+            lam = 1e-3 if scaled_damping else max(
+                1e-3 * float(np.einsum("ij,ij->", j, j)) / n_par, 1e-300)
         grad = j.T @ r
         if np.max(np.abs(grad)) < grad_tol:
             status = "gradient_converged"
@@ -83,5 +89,4 @@ def levenberg_marquardt(residual, jacobian, theta0: np.ndarray, max_iterations: 
         if small_drops >= 3:
             status = "cost_converged"
             break
-        j = jacobian(theta, state)
-    return theta, np.asarray(costs), it, status
+    return theta, np.asarray(costs), it, status, state

@@ -86,9 +86,6 @@ class DistortionReport:
     noise_floor: np.ndarray
     stats: LineStatistics
 
-    def lines_of(self, cls: str) -> np.ndarray:
-        return self.lines[self.classes == cls]
-
     def magnitudes_of(self, cls: str) -> np.ndarray:
         return self.magnitude[self.classes == cls]
 

@@ -445,18 +445,18 @@ def _fit(model: PnlssModel, rec: SignalRecord, lines, weights, max_iterations: i
         if sim.diverged:
             return None, None
         r_c = (y_f - np.fft.rfft(sim.y)[bins]) / sqrt_w
-        return np.concatenate([r_c.real, r_c.imag]), (m, sim.x_traj)
+        return np.concatenate([r_c.real, r_c.imag]), (m, sim)
 
     def jacobian(theta, state):
-        m, x_traj = state
-        j_c = -np.fft.rfft(_output_jacobian(m, x_traj, u), axis=0)[bins] / sqrt_w[:, None]
+        m, sim = state
+        j_c = -np.fft.rfft(_output_jacobian(m, sim.x_traj, u), axis=0)[bins] / sqrt_w[:, None]
         return np.concatenate([j_c.real, j_c.imag], axis=0)
 
-    theta, costs, iters, status = levenberg_marquardt(
+    # the engine hands back the state of its final point: the report reads
+    # that simulation instead of running the final model again
+    _, costs, iters, status, (final, sim) = levenberg_marquardt(
         residual, jacobian, _pack(model), max_iterations, cost_tol, grad_tol,
         scaled_damping=isinstance(model.e_map, DecoupledFunction))
-    final = _unpack(theta, model)
-    sim = simulate_pnlss(final, u)
     return final, FitReport(
         cost_trajectory=costs,
         final_rms_time=float(np.sqrt(np.mean((rec.output - sim.y) ** 2))),

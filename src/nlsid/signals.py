@@ -58,10 +58,6 @@ class MultisineSpec:
         if set(self.phases) != set(lines):
             raise ValueError("phases must be keyed exactly by the excited lines")
 
-    @property
-    def f0_hz(self) -> float:
-        return self.sample_rate_hz / self.period_samples
-
     def to_dict(self) -> dict:
         return {
             "sample_rate_hz": self.sample_rate_hz,
@@ -110,6 +106,8 @@ class SignalRecord:
                 f"input/output must both have length N*P = {n_total}, "
                 f"got {u.shape} and {y.shape}"
             )
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
+            raise ValueError("input/output samples must be finite (no NaN or inf)")
         object.__setattr__(self, "input", u)
         object.__setattr__(self, "output", y)
 
@@ -132,11 +130,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.bins)
-
-    @property
-    def frequencies_hz(self) -> np.ndarray:
-        n = len(self.bins)
-        return np.arange(n) * self.sample_rate_hz / n
 
 
 def dft(signal: np.ndarray, sample_rate_hz: float = 1.0) -> Spectrum:

@@ -373,3 +373,17 @@ def test_pipeline_full_grid_exit_2_before_any_stage(tmp_path, capsys):
 def test_missing_config_file_exit_2(tmp_path):
     assert run_cli("design", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o")) == 2
+
+
+def test_non_finite_record_exit_2(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    path = tmp_path / "record.csv"
+    write_signal_record(path, SignalRecord(1.0, 64, 1, rng.normal(size=64), rng.normal(size=64)))
+    rows = path.read_text().splitlines()
+    t, u, _ = rows[10].split(",")
+    rows[10] = f"{t},{u},nan"
+    path.write_text("\n".join(rows) + "\n")
+    cfg = write_config(tmp_path, "narx.json", {"schema_version": 1, "record": str(path),
+                                               "na": 2, "nb": 2, "degree": 2})
+    assert run_cli("fit-narx", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert "finite" in capsys.readouterr().err

@@ -125,7 +125,7 @@ def test_cpd_error_monotone_over_sweeps():
     v = rng.normal(size=(4, 2))
     h = rng.normal(size=(50, 2))
     tensor = np.einsum("ir,jr,kr->ijk", w, v, h) + 0.01 * rng.normal(size=(3, 4, 50))
-    res = cpd_als(tensor, rank=2, seed=0, restarts=0)
+    res = cpd_als(tensor, rank=2, seed=0)
     diffs = np.diff(res.error_history)
     assert np.all(diffs <= 1e-12)
 
@@ -143,13 +143,18 @@ def test_approx_matches_exact_at_true_rank():
     assert approx.residual_rms <= max(2.0 * exact.residual_rms, 1e-9)
 
 
-def test_approx_residual_nonincreasing_in_r():
-    # reduced-rank approximation of a higher-rank target improves with r
+def rank_four_map() -> PolyMap:
+    """A generic map with four cubic branches over three inputs."""
     rng = np.random.default_rng(7)
     w = rng.normal(size=(2, 4))
     v = rng.normal(size=(3, 4))
     branches = tuple(rng.normal(size=4) for _ in range(4))
-    f = to_polymap(DecoupledFunction(w, v, branches))
+    return to_polymap(DecoupledFunction(w, v, branches))
+
+
+def test_approx_residual_nonincreasing_in_r():
+    # reduced-rank approximation of a higher-rank target improves with r
+    f = rank_four_map()
     residuals = []
     for r in (1, 2, 3, 4):
         res = decouple_approx(f, r=r, branch_degree=3, num_points=400, seed=8, restarts=1)
@@ -157,11 +162,27 @@ def test_approx_residual_nonincreasing_in_r():
     assert all(residuals[i + 1] <= residuals[i] * (1 + 1e-6) for i in range(3))
 
 
+def test_exact_below_the_rank_runs_one_cpd(monkeypatch):
+    # one ALS run per CPD: below the map's rank the run ends at the sweep cap
+    # at the latest
+    import nlsid.decouple as D
+
+    calls = []
+    error = D._cpd_error
+
+    def counted(*args):
+        calls.append(1)
+        return error(*args)
+
+    monkeypatch.setattr(D, "_cpd_error", counted)
+    res = D.decouple_exact(rank_four_map(), r=3, seed=8)
+    assert not res.converged
+    assert 0 < len(calls) <= 2000
+
+
 def test_approx_reports_cpd_that_misses_the_rank():
     # a generic rank-4 map cannot be decoupled exactly with one branch
-    rng = np.random.default_rng(7)
-    f = to_polymap(DecoupledFunction(rng.normal(size=(2, 4)), rng.normal(size=(3, 4)),
-                                     tuple(rng.normal(size=4) for _ in range(4))))
+    f = rank_four_map()
     res = decouple_approx(f, r=1, branch_degree=3, num_points=100, seed=8, restarts=0)
     assert res.converged is False
     assert np.isfinite(res.cpd_error) and res.cpd_error > 1e-8

@@ -288,8 +288,8 @@ def test_analytic_gradient_matches_finite_differences(e_kind, f_kind):
 
 
 def test_fit_simulates_each_lm_point_once(monkeypatch):
-    # the Jacobian at an accepted point reuses that trial's simulation: one
-    # run for the start, one per LM trial and one for the report
+    # the Jacobian at an accepted point and the report reuse that trial's
+    # simulation: one run for the start and one per LM trial
     import nlsid.pnlss as P
 
     truth = cubic_feedback_model(alpha=-0.08)
@@ -314,9 +314,11 @@ def test_fit_simulates_each_lm_point_once(monkeypatch):
     fitted, report = fit_pnlss(replace(truth, e_map=None), rec, np.arange(1, 80),
                                state_degree=3, max_iterations=10)
     assert len(residual_calls) > len(report.cost_trajectory) > 1
-    assert len(points) == len(residual_calls) + 1
-    assert len(set(points[:-1])) == len(points) - 1
-    assert points[-1] == P._pack(fitted).tobytes()
+    assert len(points) == len(residual_calls)
+    assert len(set(points)) == len(points)
+    assert P._pack(fitted).tobytes() in points
+    y_fitted = simulate(fitted, u).y
+    assert report.final_rms_time == float(np.sqrt(np.mean((rec.output - y_fitted) ** 2)))
 
 
 def test_fit_self_consistency_from_perturbed_truth():

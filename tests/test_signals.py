@@ -231,6 +231,15 @@ def test_record_length_must_match_grid():
         SignalRecord(1.0, 16, 2, np.zeros(30), np.zeros(32))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("channel", ["input", "output"])
+def test_record_rejects_non_finite_samples(bad, channel):
+    samples = {"input": np.zeros(32), "output": np.zeros(32)}
+    samples[channel][5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SignalRecord(1.0, 16, 2, samples["input"], samples["output"])
+
+
 def test_odd_random_skip_detection_coverage():
     excited, detection = odd_random_skip_grid(1024, 401, seed=9, group_size=4)
     assert all(k % 2 == 1 for k in excited)
