@@ -8,9 +8,8 @@ parametric models (:mod:`nlsid.narx`, :mod:`nlsid.pnlss`,
 model validation (:mod:`nlsid.validate`).
 """
 
-from .signals import (MultisineSpec, SignalRecord, Spectrum, design_multisine,
-                      dft, flat_amplitude_spec, full_grid, idft, odd_grid,
-                      random_phases, split_periods)
+from .signals import (MultisineSpec, SignalRecord, design_multisine,
+                      flat_amplitude_spec, full_grid, odd_grid, random_phases)
 from .simulators import (BlockOrientedSpec, DuffingParams, LinearBlock,
                          NoiseSpec, TanksParams, default_duffing,
                          simulate_block_oriented, simulate_duffing,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonparam import sample_statistics
-from .signals import MultisineSpec, SignalRecord, dft
+from .signals import MultisineSpec, SignalRecord
 
 MIN_INPUT_MAGNITUDE_EPS = 1e3  # multiples of machine epsilon
 
@@ -140,12 +140,10 @@ def stochastic_residual(rec: SignalRecord, model: BlaModel) -> StochasticResidua
     record); all other bins of the linear response are zero.
     """
     n_total = rec.period_samples * rec.num_periods
-    u_bins = dft(rec.input, rec.sample_rate_hz).bins
+    bins = np.asarray(model.lines, dtype=int) * rec.num_periods
     y_lin_bins = np.zeros(n_total, dtype=complex)
-    for k, g in zip(model.lines, model.frf):
-        bin_pos = int(k) * rec.num_periods
-        y_lin_bins[bin_pos] = g * u_bins[bin_pos]
-        y_lin_bins[n_total - bin_pos] = np.conj(y_lin_bins[bin_pos])
+    y_lin_bins[bins] = model.frf * np.fft.fft(rec.input)[bins]
+    y_lin_bins[n_total - bins] = np.conj(y_lin_bins[bins])
     y_lin = np.fft.ifft(y_lin_bins).real
     resid = rec.output - y_lin
     denom = np.linalg.norm(resid) * np.linalg.norm(rec.input)

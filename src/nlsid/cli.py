@@ -401,7 +401,8 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
     """Chain design -> simulate -> analyze -> bla -> fit -> validate.
 
     Each stage writes into its own subdirectory; manifest.json records a hash
-    per stage so a resumed run re-executes only missing or changed stages.
+    per stage, which covers the previous stage's hash, so a resumed run
+    re-executes a missing or changed stage and every stage after it.
     The analysis stage emits the linear-vs-nonlinear verdict.
     """
     _check_schema(config)
@@ -417,12 +418,13 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
     manifest_path = out / "manifest.json"
     manifest = read_json(manifest_path) if (resume and manifest_path.exists()) else {}
 
-    def stage_hash(name: str, payload: dict) -> str:
-        blob = json.dumps({"stage": name, "cfg": payload, "seed": seed}, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+    prev_hash = ""
 
     def run_stage(name: str, payload: dict, outputs: list[str], fn) -> None:
-        digest = stage_hash(name, payload)
+        nonlocal prev_hash
+        blob = json.dumps({"stage": name, "cfg": payload, "seed": seed, "prev": prev_hash},
+                          sort_keys=True)
+        digest = prev_hash = hashlib.sha256(blob.encode()).hexdigest()
         entry = manifest.get(name)
         stage_dir = out / name
         if (resume and entry and entry.get("hash") == digest

@@ -61,15 +61,15 @@ class DecoupledFunction:
     def n_outputs(self) -> int:
         return self.w.shape[0]
 
-    def branch_degrees(self, rel_tol: float = 1e-6) -> tuple[int, ...]:
-        """Effective degree per branch: largest power with a non-negligible
-        coefficient (at least 1 by convention)."""
+    def branch_degrees(self) -> tuple[int, ...]:
+        """Effective degree per branch: largest power whose coefficient is
+        above ``BRANCH_REL_TOL`` of the largest (at least 1 by convention)."""
         out = []
         for c in self.branches:
             scale = np.max(np.abs(c)) if len(c) else 0.0
             deg = 1
             for j in range(len(c) - 1, 0, -1):
-                if abs(c[j]) > rel_tol * scale:
+                if abs(c[j]) > BRANCH_REL_TOL * scale:
                     deg = j
                     break
             out.append(deg)
@@ -175,6 +175,8 @@ class CpdResult:
 CPD_MAX_SWEEPS = 2000
 CPD_REL_TOL = 1e-10     # stop once a sweep changes the relative error by less
 CPD_CONVERGED = 1e-8    # relative error at or below which the CPD is exact
+CLOUD_DOMAIN = (-1.0, 1.0)  # every variable's range in a sampled point cloud
+BRANCH_REL_TOL = 1e-6   # a branch coefficient counts above this share of the largest
 
 
 def cpd_als(tensor: np.ndarray, rank: int, seed: int = 0) -> CpdResult:
@@ -245,17 +247,13 @@ class DecoupleResult:
     cpd_error: float
 
 
-def _cloud(seed: int, count: int, n_vars: int, domain,
-           points: np.ndarray | None) -> np.ndarray:
-    """``count`` seeded points: uniform in ``domain`` (default the unit box),
-    or a random subset of the caller's ``points`` (all of them when there are
-    no more than ``count``)."""
+def _cloud(seed: int, count: int, n_vars: int, points: np.ndarray | None) -> np.ndarray:
+    """``count`` seeded points: uniform in the box ``CLOUD_DOMAIN``, or a
+    random subset of the caller's ``points`` (all of them when there are no
+    more than ``count``)."""
     rng = np.random.default_rng(seed)
     if points is None:
-        lo, hi = (-1.0, 1.0) if domain is None else domain
-        return rng.uniform(np.broadcast_to(np.asarray(lo, dtype=float), (n_vars,)),
-                           np.broadcast_to(np.asarray(hi, dtype=float), (n_vars,)),
-                           size=(count, n_vars))
+        return rng.uniform(*CLOUD_DOMAIN, size=(count, n_vars))
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != n_vars:
         raise ValueError(f"points must have {n_vars} columns")
@@ -300,7 +298,7 @@ def canonicalize(d: DecoupledFunction) -> DecoupledFunction:
 
 
 def decouple_exact(f: PolyMap, r: int, num_points: int = 500, seed: int = 0,
-                   domain=None, branch_degree: int | None = None,
+                   branch_degree: int | None = None,
                    points: np.ndarray | None = None) -> DecoupleResult:
     """Exact tensor-based decoupling of a polynomial map.
 
@@ -310,7 +308,7 @@ def decouple_exact(f: PolyMap, r: int, num_points: int = 500, seed: int = 0,
     branches by least squares on the function values, and polishes all
     factors by a short joint Levenberg-Marquardt run.
 
-    ``domain`` bounds the sampled cloud (default the unit box); alternatively
+    The cloud is uniform in the box ``CLOUD_DOMAIN``; alternatively
     ``points`` supplies the cloud directly, e.g. states visited by a model, so
     the decoupled form is accurate on the operating region.
 
@@ -318,15 +316,15 @@ def decouple_exact(f: PolyMap, r: int, num_points: int = 500, seed: int = 0,
     ``max |f(p) - W g(V^T p)|`` is evaluated on a fresh test cloud.  CPD
     stagnation is reported through ``converged=False``, never raised.
     """
-    pts = _cloud(seed, num_points, f.n_vars, domain, points)
+    pts = _cloud(seed, num_points, f.n_vars, points)
     func, cpd = _initial_decoupling(f, r, branch_degree, pts, seed)
-    test = _cloud(seed + 1, max(num_points, 256), f.n_vars, domain, points)
+    test = _cloud(seed + 1, max(num_points, 256), f.n_vars, points)
     return _result(f, func, cpd, test, np.ones(f.n_outputs))
 
 
 def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
                     weight: np.ndarray | None = None, num_points: int = 500,
-                    seed: int = 0, domain=None, max_iterations: int = 200,
+                    seed: int = 0, max_iterations: int = 200,
                     restarts: int = 2, points: np.ndarray | None = None) -> DecoupleResult:
     """Approximate rank-r decoupling with joint Levenberg-Marquardt refinement.
 
@@ -345,7 +343,7 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
     w_out = np.ones(f.n_outputs) if weight is None else np.asarray(weight, dtype=float)
     if w_out.shape != (f.n_outputs,) or np.any(w_out < 0):
         raise ValueError("weight must be a nonnegative vector, one entry per output")
-    pts = _cloud(seed, num_points, f.n_vars, domain, points)
+    pts = _cloud(seed, num_points, f.n_vars, points)
     f_vals = eval_polymap(f, pts)
     # zero-weight outputs are excluded end to end: the CPD initialization only
     # ever sees the active rows, and their W rows stay at zero through the LM
@@ -357,7 +355,7 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
     for attempt in range(restarts + 1):
         s = seed + 101 * attempt
         init, cpd = _initial_decoupling(f_active, r, branch_degree,
-                                        _cloud(s, num_points, f.n_vars, domain, points), s)
+                                        _cloud(s, num_points, f.n_vars, points), s)
         w_full = np.zeros((f.n_outputs, r))
         w_full[active] = init.w
         start = DecoupledFunction(w_full, init.v, init.branches)
@@ -365,7 +363,7 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
         if best is None or cost < best[0]:
             best = (cost, func, cpd)
     _, func, cpd = best
-    held = _cloud(seed + 9999, max(num_points, 256), f.n_vars, domain, points)
+    held = _cloud(seed + 9999, max(num_points, 256), f.n_vars, points)
     return _result(f, func, cpd, held, w_out)
 
 

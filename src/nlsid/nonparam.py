@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .signals import MultisineSpec, SignalRecord, split_periods
+from .signals import MultisineSpec, SignalRecord
 
 DISTORTION_THRESHOLD_DB = 6.0
 MIN_RELIABLE_PERIODS = 8
@@ -55,9 +55,10 @@ def sample_statistics(rec: SignalRecord, discard_periods: int = 0) -> LineStatis
     p_kept = rec.num_periods - discard_periods
     if p_kept < 2:
         raise ValueError(f"need at least 2 retained periods, have {p_kept}")
-    spectra = split_periods(rec)[discard_periods:]
-    u = np.stack([s[0].bins for s in spectra])  # (P, N)
-    y = np.stack([s[1].bins for s in spectra])
+    n = rec.period_samples
+    # per-period DFTs of the retained periods, shape (P, N)
+    u, y = (np.fft.fft(x.reshape(rec.num_periods, n)[discard_periods:], axis=1)
+            for x in (rec.input, rec.output))
     u_mean = u.mean(axis=0)
     y_mean = y.mean(axis=0)
     du = u - u_mean
@@ -65,7 +66,6 @@ def sample_statistics(rec: SignalRecord, discard_periods: int = 0) -> LineStatis
     u_var = (np.abs(du) ** 2).sum(axis=0) / (p_kept - 1)
     y_var = (np.abs(dy) ** 2).sum(axis=0) / (p_kept - 1)
     yu_covar = (dy * np.conj(du)).sum(axis=0) / (p_kept - 1)
-    n = rec.period_samples
     freq = np.arange(n) * rec.sample_rate_hz / n
     return LineStatistics(freq, u_mean, y_mean, u_var, y_var, yu_covar, p_kept)
 

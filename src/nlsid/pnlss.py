@@ -32,6 +32,10 @@ from .polybasis import MonomialPlan, PolyMap, enumerate_monomials, eval_monomial
 from .signals import SignalRecord
 from .simulators import DIVERGENCE_LIMIT
 
+COST_TOL = 1e-9        # LM stops after three accepted steps below this relative drop
+GRAD_TOL = 1e-8        # ... or once the gradient's largest entry is below this
+NUM_DIRECTIONS = 720   # random unit directions tried by single_branch_init
+
 
 @dataclass(frozen=True)
 class PnlssModel:
@@ -380,8 +384,8 @@ def _freq_residual_factory(rec: SignalRecord, lines, weights):
 
 def fit_pnlss(init: PnlssModel, rec: SignalRecord, lines: np.ndarray,
               state_degree: int | None = 3, output_degree: int | None = None,
-              weights: np.ndarray | None = None, max_iterations: int = 300,
-              cost_tol: float = 1e-9, grad_tol: float = 1e-8) -> tuple[PnlssModel, FitReport]:
+              weights: np.ndarray | None = None,
+              max_iterations: int = 300) -> tuple[PnlssModel, FitReport]:
     """Refine a PNLSS model by Levenberg-Marquardt on the frequency-domain
     simulation error ``V = sum_k |Y(k) - Yhat(k)|^2 / W(k)`` at the excited
     lines.
@@ -420,22 +424,22 @@ def fit_pnlss(init: PnlssModel, rec: SignalRecord, lines: np.ndarray,
     if output_degree is not None and model.f_map is None and output_degree >= 2:
         basis = enumerate_monomials(n + 1, 2, output_degree)
         model = replace(model, f_map=PolyMap(basis, np.zeros((1, len(basis)))))
-    return _fit(model, rec, lines, weights, max_iterations, cost_tol, grad_tol)
+    return _fit(model, rec, lines, weights, max_iterations)
 
 
 def fit_pnlss_decoupled(init: PnlssModel, rec: SignalRecord, lines: np.ndarray,
-                        weights: np.ndarray | None = None, max_iterations: int = 300,
-                        cost_tol: float = 1e-9, grad_tol: float = 1e-8) -> tuple[PnlssModel, FitReport]:
+                        weights: np.ndarray | None = None,
+                        max_iterations: int = 300) -> tuple[PnlssModel, FitReport]:
     """:func:`fit_pnlss` for a model whose E is a decoupled
     ``W g(V^T (x, u))``, as in the model-pruning workflow; it never adds maps.
     """
     if not isinstance(init.e_map, DecoupledFunction):
         raise TypeError("init.e_map must be a DecoupledFunction")
-    return _fit(init, rec, lines, weights, max_iterations, cost_tol, grad_tol)
+    return _fit(init, rec, lines, weights, max_iterations)
 
 
-def _fit(model: PnlssModel, rec: SignalRecord, lines, weights, max_iterations: int,
-         cost_tol: float, grad_tol: float) -> tuple[PnlssModel, FitReport]:
+def _fit(model: PnlssModel, rec: SignalRecord, lines, weights,
+         max_iterations: int) -> tuple[PnlssModel, FitReport]:
     u = rec.input
     bins, sqrt_w, y_f = _freq_residual_factory(rec, lines, weights)
 
@@ -455,7 +459,7 @@ def _fit(model: PnlssModel, rec: SignalRecord, lines, weights, max_iterations: i
     # the engine hands back the state of its final point: the report reads
     # that simulation instead of running the final model again
     _, costs, iters, status, (final, sim) = levenberg_marquardt(
-        residual, jacobian, _pack(model), max_iterations, cost_tol, grad_tol,
+        residual, jacobian, _pack(model), max_iterations, COST_TOL, GRAD_TOL,
         scaled_damping=isinstance(model.e_map, DecoupledFunction))
     return final, FitReport(
         cost_trajectory=costs,
@@ -468,8 +472,7 @@ def _fit(model: PnlssModel, rec: SignalRecord, lines, weights, max_iterations: i
 
 
 def single_branch_init(model: PnlssModel, z_traj: np.ndarray,
-                       branch_degree: int = 5,
-                       num_directions: int = 720) -> PnlssModel:
+                       branch_degree: int = 5) -> PnlssModel:
     """Best single-projection replacement of a PolyMap state nonlinearity.
 
     Searches unit directions ``v`` over (x, u), least-squares fitting
@@ -499,7 +502,7 @@ def single_branch_init(model: PnlssModel, z_traj: np.ndarray,
         sol, *_ = np.linalg.lstsq(k, e_vals, rcond=None)
         return float(np.sqrt(np.mean((e_vals - k @ sol) ** 2))), sol
 
-    dirs = rng.standard_normal((num_directions, n + 1))
+    dirs = rng.standard_normal((NUM_DIRECTIONS, n + 1))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     best = (np.inf, None, None)
     for v in dirs:

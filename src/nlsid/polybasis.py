@@ -1,11 +1,12 @@
 """Multivariate polynomial machinery shared by the parametric model estimators.
 
-A :class:`MonomialBasis` enumerates exponent vectors in a fixed graded
-lexicographic order so that coefficient vectors serialize reproducibly.
-:class:`PolyMap` couples a basis with a coefficient matrix and provides
-vectorized evaluation and analytic Jacobians, in the variables and in the
-coefficients.  :class:`MonomialPlan` builds every monomial of one point from
-earlier ones, for the per-sample simulation loops.
+One engine makes every monomial: a :class:`MonomialPlan` forms each monomial
+of degree ``d >= 2`` as one of degree ``d - 1`` times one variable.  Its
+exponents are the :class:`MonomialBasis` enumeration, its batch table gives
+:func:`eval_monomials` and, read at ``e - 1_j``, :func:`monomial_jacobian`.
+The NARX and PNLSS simulation loops make the same products in the same order
+on Python floats, so simulations, fit Jacobians and the decoupler see
+identical monomials.  :class:`PolyMap` couples a basis with coefficients.
 """
 
 from __future__ import annotations
@@ -18,18 +19,6 @@ import numpy as np
 MAX_MONOMIALS = 10**7
 
 
-def _exponents_of_degree(n_vars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent vectors of given total degree, lexicographically descending
-    in the first variable (graded-lex within one degree block)."""
-    if n_vars == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree, -1, -1):
-        for rest in _exponents_of_degree(n_vars - 1, degree - first):
-            out.append((first,) + rest)
-    return out
-
-
 def monomial_count(n_vars: int, d_min: int, d_max: int) -> int:
     """Number of monomials: sum over degrees of C(n_vars + d - 1, d)."""
     return sum(math.comb(n_vars + d - 1, d) for d in range(d_min, d_max + 1))
@@ -37,12 +26,9 @@ def monomial_count(n_vars: int, d_min: int, d_max: int) -> int:
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Ordered monomial basis in ``n_vars`` variables.
-
-    Exponent vectors are sorted by total degree, then lexicographically
-    (descending leading exponents), which is stable across runs and
-    serialization round-trips.
-    """
+    """Ordered monomial basis in ``n_vars`` variables: by total degree, then
+    by descending leading exponents (graded lex), stable across runs and
+    serialization round-trips."""
 
     n_vars: int
     degree_min: int
@@ -52,101 +38,19 @@ class MonomialBasis:
     def __len__(self) -> int:
         return len(self.exponents)
 
-    @property
-    def exponent_array(self) -> np.ndarray:
-        return np.asarray(self.exponents, dtype=int).reshape(len(self.exponents), self.n_vars)
-
-
-def enumerate_monomials(n_vars: int, d_min: int, d_max: int) -> MonomialBasis:
-    """Enumerate all monomials in ``n_vars`` variables with total degree in
-    ``[d_min, d_max]``.
-
-    Raises
-    ------
-    ValueError
-        If the degree range is invalid or the basis would exceed
-        ``MAX_MONOMIALS`` terms.
-    """
-    if n_vars < 1:
-        raise ValueError(f"n_vars must be >= 1, got {n_vars}")
-    if not (0 <= d_min <= d_max):
-        raise ValueError(f"need 0 <= d_min <= d_max, got ({d_min}, {d_max})")
-    count = monomial_count(n_vars, d_min, d_max)
-    if count > MAX_MONOMIALS:
-        raise ValueError(f"basis would hold {count} monomials (limit {MAX_MONOMIALS})")
-    exps: list[tuple[int, ...]] = []
-    for d in range(d_min, d_max + 1):
-        exps.extend(_exponents_of_degree(n_vars, d))
-    return MonomialBasis(n_vars, d_min, d_max, tuple(exps))
-
-
-def _power_table(basis: MonomialBasis, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``pow_tab[p, j, d] = x_j^d`` up to the basis degree, so each monomial is
-    a product of lookups; also whether ``x`` was a single point."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[1] != basis.n_vars:
-        raise ValueError(f"expected {basis.n_vars} variables, got {pts.shape[1]}")
-    pow_tab = np.ones((pts.shape[0], basis.n_vars, basis.degree_max + 1))
-    for d in range(1, basis.degree_max + 1):
-        pow_tab[:, :, d] = pow_tab[:, :, d - 1] * pts
-    return pow_tab, single
-
-
-def eval_monomials(basis: MonomialBasis, x: np.ndarray) -> np.ndarray:
-    """Evaluate every basis monomial at one point or a batch of points.
-
-    Parameters
-    ----------
-    x : ndarray, shape (n_vars,) or (n_points, n_vars)
-
-    Returns
-    -------
-    ndarray, shape (n_monomials,) or (n_points, n_monomials)
-    """
-    pow_tab, single = _power_table(basis, x)
-    exps = basis.exponent_array
-    vals = np.ones((pow_tab.shape[0], len(basis)))
-    for j in range(basis.n_vars):
-        vals *= pow_tab[:, j, exps[:, j]]
-    return vals[0] if single else vals
-
-
-def monomial_jacobian(basis: MonomialBasis, x: np.ndarray) -> np.ndarray:
-    """Partial derivatives of every monomial w.r.t. every variable.
-
-    Returns
-    -------
-    ndarray, shape (n_monomials, n_vars) for a single point or
-    (n_points, n_monomials, n_vars) for a batch.
-    """
-    pow_tab, single = _power_table(basis, x)
-    exps = basis.exponent_array
-    jac = np.empty((pow_tab.shape[0], len(basis), basis.n_vars))
-    for j in range(basis.n_vars):
-        # d/dx_j x_j^e = e * x_j^(e-1); zero exponent kills the term
-        ej = exps[:, j]
-        term = ej * pow_tab[:, j, np.maximum(ej - 1, 0)]
-        term[:, ej == 0] = 0.0
-        for i in range(basis.n_vars):
-            if i != j:
-                term *= pow_tab[:, i, exps[:, i]]
-        jac[:, :, j] = term
-    return jac[0] if single else jac
-
 
 class MonomialPlan:
     """Evaluation plan for every monomial in ``n_vars`` variables up to
-    ``degree_max``, for per-sample loops over Python floats.
+    ``degree_max``.
 
     The monomial table of a point ``z`` starts as ``[1, z_0, ..., z_{n-1}]``
     (degrees 0 and 1, whatever ``degree_max``); each level ``d = 2..degree_max``
     then appends ``table[parent] * z[var]`` for its ``(parent, var)`` pairs,
     ``parent`` being an entry of degree ``d - 1``.  Every monomial appears
-    once, so a polynomial is one dot product of its coefficients, laid out by
-    :meth:`positions`, with the table.  The plan for a lower degree is a
-    prefix of the plan for a higher one.
+    once, in graded lexicographic order (:attr:`exponents`), so a polynomial
+    is one dot product of its coefficients, laid out by :meth:`positions`,
+    with the table.  The plan for a lower degree is a prefix of the plan for
+    a higher one.
     """
 
     def __init__(self, n_vars: int, degree_max: int):
@@ -166,17 +70,81 @@ class MonomialPlan:
             levels.append(tuple(level))
             prev = range(start, len(exps))
         self.levels = tuple(levels)
+        self.exponents = tuple(exps)
         self._index = {e: k for k, e in enumerate(exps)}
 
     @property
     def size(self) -> int:
-        return len(self._index)
+        return len(self.exponents)
 
     def positions(self, basis: MonomialBasis) -> list[int]:
         """Table position of each monomial of ``basis``, in basis order."""
         if basis.n_vars != self.n_vars or basis.degree_max > self.degree_max:
             raise ValueError("basis does not fit the plan")
         return [self._index[e] for e in basis.exponents]
+
+    def table(self, z: np.ndarray) -> np.ndarray:
+        """Tables of the rows of ``z`` (n_points, n_vars), shape (n_points,
+        size): the per-sample recurrence on whole columns."""
+        table = np.empty((len(z), self.size))
+        table[:, 0] = 1.0
+        table[:, 1 : self.n_vars + 1] = z
+        start = self.n_vars + 1
+        for level in self.levels:
+            parents, variables = np.array(level).T
+            table[:, start : start + len(level)] = table[:, parents] * z[:, variables]
+            start += len(level)
+        return table
+
+
+def enumerate_monomials(n_vars: int, d_min: int, d_max: int) -> MonomialBasis:
+    """Enumerate all monomials in ``n_vars`` variables with total degree in
+    ``[d_min, d_max]``, in the order of their :class:`MonomialPlan`.
+
+    Raises ValueError if the degree range is invalid or the basis would
+    exceed ``MAX_MONOMIALS`` terms.
+    """
+    if n_vars < 1:
+        raise ValueError(f"n_vars must be >= 1, got {n_vars}")
+    if not (0 <= d_min <= d_max):
+        raise ValueError(f"need 0 <= d_min <= d_max, got ({d_min}, {d_max})")
+    count = monomial_count(n_vars, d_min, d_max)
+    if count > MAX_MONOMIALS:
+        raise ValueError(f"basis would hold {count} monomials (limit {MAX_MONOMIALS})")
+    # the plan always holds degrees 0 and 1, so slice by count, not plan size
+    start = monomial_count(n_vars, 0, d_min - 1)
+    exps = MonomialPlan(n_vars, d_max).exponents[start : start + count]
+    return MonomialBasis(n_vars, d_min, d_max, exps)
+
+
+def _table(basis: MonomialBasis, x: np.ndarray) -> tuple[MonomialPlan, np.ndarray, bool]:
+    """The plan of ``basis``, its table at ``x``, and whether ``x`` is one point."""
+    x = np.asarray(x, dtype=float)
+    pts = x[None, :] if x.ndim == 1 else x
+    if pts.shape[1] != basis.n_vars:
+        raise ValueError(f"expected {basis.n_vars} variables, got {pts.shape[1]}")
+    plan = MonomialPlan(basis.n_vars, basis.degree_max)
+    return plan, plan.table(pts), x.ndim == 1
+
+
+def eval_monomials(basis: MonomialBasis, x: np.ndarray) -> np.ndarray:
+    """Every basis monomial at one point ``x`` (n_vars,) or a batch
+    (n_points, n_vars); shape (n_monomials,) or (n_points, n_monomials)."""
+    plan, table, single = _table(basis, x)
+    vals = table[:, plan.positions(basis)]
+    return vals[0] if single else vals
+
+
+def monomial_jacobian(basis: MonomialBasis, x: np.ndarray) -> np.ndarray:
+    """Partial derivatives ``d z^e / d z_j = e_j * z^(e - 1_j)`` of every
+    monomial, read off the monomial table; shape (n_monomials, n_vars) for a
+    single point or (n_points, n_monomials, n_vars) for a batch."""
+    plan, table, single = _table(basis, x)
+    # a zero exponent reads the constant column and scales it by zero
+    lowered = [[plan._index[e[:j] + (e[j] - 1,) + e[j + 1:]] if e[j] else 0
+                for j in range(basis.n_vars)] for e in basis.exponents]
+    jac = table[:, lowered] * np.array(basis.exponents, dtype=float)
+    return jac[0] if single else jac
 
 
 @dataclass(frozen=True)
@@ -189,9 +157,8 @@ class PolyMap:
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.coefficients, dtype=float))
         if c.shape[1] != len(self.basis):
-            raise ValueError(
-                f"coefficient columns ({c.shape[1]}) must match basis size ({len(self.basis)})"
-            )
+            raise ValueError(f"coefficient columns ({c.shape[1]}) must match "
+                             f"basis size ({len(self.basis)})")
         object.__setattr__(self, "coefficients", c)
 
     @property
@@ -213,9 +180,8 @@ class PolyMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PolyMap":
-        basis = MonomialBasis(
-            d["n_vars"], d["d_min"], d["d_max"], tuple(tuple(e) for e in d["exponents"])
-        )
+        basis = MonomialBasis(d["n_vars"], d["d_min"], d["d_max"],
+                              tuple(tuple(e) for e in d["exponents"]))
         return cls(basis, np.asarray(d["coeffs"], dtype=float))
 
     @classmethod
@@ -258,8 +224,7 @@ def eval_polymap(p: PolyMap, x: np.ndarray) -> np.ndarray:
     Accepts a single point (returns shape ``(n_outputs,)``) or a batch of
     points (returns ``(n_points, n_outputs)``).
     """
-    vals = eval_monomials(p.basis, x)
-    return vals @ p.coefficients.T
+    return eval_monomials(p.basis, x) @ p.coefficients.T
 
 
 def jacobian_polymap(p: PolyMap, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Periodic multisine excitation design and DFT utilities.
+"""Periodic multisine excitation design and multi-period records.
 
 Conventions used throughout the package:
 
@@ -111,39 +111,6 @@ class SignalRecord:
         object.__setattr__(self, "input", u)
         object.__setattr__(self, "output", y)
 
-    def period(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Input and output samples of one period."""
-        n = self.period_samples
-        sl = slice(index * n, (index + 1) * n)
-        return self.input[sl], self.output[sl]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """DFT of one period; bin ``k`` sits at frequency ``k * fs / N``."""
-
-    bins: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "bins", np.asarray(self.bins, dtype=complex))
-
-    def __len__(self) -> int:
-        return len(self.bins)
-
-
-def dft(signal: np.ndarray, sample_rate_hz: float = 1.0) -> Spectrum:
-    """Forward-unnormalized DFT of a real signal."""
-    x = np.asarray(signal, dtype=float)
-    if x.size == 0:
-        raise ValueError("cannot transform an empty signal")
-    return Spectrum(np.fft.fft(x), sample_rate_hz)
-
-
-def idft(spectrum: Spectrum) -> np.ndarray:
-    """Inverse DFT (scaled by 1/N), real part of the reconstruction."""
-    return np.fft.ifft(spectrum.bins).real
-
 
 def design_multisine(spec: MultisineSpec, num_periods: int = 1) -> np.ndarray:
     """Generate the multisine ``u(l) = sum_k U_k cos(2*pi*k*l/N + phi_k)``.
@@ -177,17 +144,6 @@ def random_phases(spec: MultisineSpec, seed: int) -> MultisineSpec:
     rng = np.random.default_rng(seed)
     phases = {k: float(p) for k, p in zip(spec.excited_lines, rng.uniform(0.0, 2.0 * np.pi, len(spec.excited_lines)))}
     return replace(spec, phases=phases, rng_seed=seed)
-
-
-def split_periods(rec: SignalRecord) -> list[tuple[Spectrum, Spectrum]]:
-    """Per-period DFT pairs ``(U^[l], Y^[l])`` for ``l = 1..P``."""
-    if rec.num_periods < 1:
-        raise ValueError("record must hold at least one period")
-    out = []
-    for p in range(rec.num_periods):
-        u, y = rec.period(p)
-        out.append((dft(u, rec.sample_rate_hz), dft(y, rec.sample_rate_hz)))
-    return out
 
 
 def full_grid(n: int, k_max: int) -> tuple[int, ...]:

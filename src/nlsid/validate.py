@@ -9,6 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_VIOLATION_FRACTION = 0.10  # lags a passing correlation test may have outside the band
+EXTRAPOLATION_FRACTION = 0.10  # test states outside the training domain that raise the flag
+STRUCTURAL_ERROR_RATIO = 1.5   # median empirical/theory std ratio that flags structural error
+
 
 def fit_metric(y: np.ndarray, yhat: np.ndarray) -> float:
     """Percent of output variation reproduced by the model,
@@ -42,18 +46,18 @@ class ResidualTestReport:
     note: str = ""
 
 
-def residual_tests(residual: np.ndarray, input_signal: np.ndarray, max_lag: int,
-                   max_violation_fraction: float = 0.10) -> ResidualTestReport:
+def residual_tests(residual: np.ndarray, input_signal: np.ndarray,
+                   max_lag: int) -> ResidualTestReport:
     """Whiteness and input-independence tests on model residuals.
 
     The autocorrelation of the residual and its cross-correlation with the
     input are computed for lags 1..max_lag and compared against the
     ``+-1.96/sqrt(N)`` 95% band; a test passes when at most
-    ``max_violation_fraction`` of the lags fall outside.
+    ``MAX_VIOLATION_FRACTION`` of the lags fall outside.
 
     With 95% bands each lag of a white residual lands outside with 5%
     probability, so an allowance of exactly 5% of the lags would flag white
-    noise about a third of the time (binomial upper tail).  The default
+    noise about a third of the time (binomial upper tail).  The
     allowance of 10% keeps the false-alarm rate under 10% for typical lag
     counts while colored residuals still fail decisively.
     """
@@ -80,7 +84,7 @@ def residual_tests(residual: np.ndarray, input_signal: np.ndarray, max_lag: int,
         cross = np.zeros(max_lag)
     else:
         cross = np.array([float(e0[tau:] @ u0[:-tau]) / n for tau in lags]) / np.sqrt(var_e * var_u)
-    max_bad = max_violation_fraction * max_lag
+    max_bad = MAX_VIOLATION_FRACTION * max_lag
     return ResidualTestReport(
         lags,
         auto,
@@ -100,15 +104,14 @@ class DomainCoverage:
 
 
 def domain_coverage(train_states: np.ndarray, test_states: np.ndarray,
-                    radius_quantile: float = 0.99,
-                    flag_fraction: float = 0.10) -> DomainCoverage:
+                    radius_quantile: float = 0.99) -> DomainCoverage:
     """Mahalanobis domain check of test states against the training cloud.
 
     The training mean/covariance define the squared distance
     ``d(s) = (s - mu)^T C^-1 (s - mu)``; the coverage radius is the
-    ``radius_quantile`` quantile of the training distances.  The
-    extrapolation flag raises when more than ``flag_fraction`` of the test
-    states exceed that radius.  A singular covariance is regularized with
+    ``radius_quantile`` quantile of the training distances.  The extrapolation
+    flag raises when more than ``EXTRAPOLATION_FRACTION`` of the test states
+    exceed that radius.  A singular covariance is regularized with
     ``eps * I``, ``eps = 1e-8 * trace(C)/n``.
     """
     train = np.atleast_2d(np.asarray(train_states, dtype=float))
@@ -136,7 +139,7 @@ def domain_coverage(train_states: np.ndarray, test_states: np.ndarray,
     inside = float(np.mean(test_d <= radius))
     return DomainCoverage(
         fraction_inside=inside,
-        extrapolation_flag=bool(1.0 - inside > flag_fraction),
+        extrapolation_flag=bool(1.0 - inside > EXTRAPOLATION_FRACTION),
         radius=radius,
         test_distances=test_d,
     )
@@ -219,8 +222,8 @@ class VariabilityReport:
     low_replication_warning: bool
 
 
-def realization_variability(fit_fn, excitation_factory, m: int, functional,
-                            flag_threshold: float = 1.5) -> VariabilityReport:
+def realization_variability(fit_fn, excitation_factory, m: int,
+                            functional) -> VariabilityReport:
     """Fit the same model structure on ``m`` independent excitation
     realizations and compare the empirical scatter of a functional against the
     noise-only theoretical prediction.
@@ -274,7 +277,7 @@ def realization_variability(fit_fn, excitation_factory, m: int, functional,
         empirical_std=emp_std,
         theory_std=th_std,
         std_ratio=ratio,
-        structural_error_flag=bool(np.median(ratio) > flag_threshold),
+        structural_error_flag=bool(np.median(ratio) > STRUCTURAL_ERROR_RATIO),
         num_requested=m,
         num_succeeded=len(values),
         failures=failures,

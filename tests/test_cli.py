@@ -351,6 +351,36 @@ def test_pipeline_nonlinear_verdict_and_resume(tmp_path):
     assert (out / "validate" / "validation.json").exists()
 
 
+README_PIPE_CFG = {
+    "schema_version": 1,
+    "seed": 11,
+    "excitation": {"fs": 128.0, "period_samples": 256, "grid_kind": "odd_random_skip",
+                   "k_max": 51, "rms": 0.4},
+    "system": {"type": "duffing", "fs": 128.0, "hardening": 1.0},
+    "noise": {"measurement_std": 1e-3},
+    "num_periods": 8,
+    "discard_periods": 1,
+    "fit": {"type": "narx", "na": 2, "nb": 2, "degree": 3},
+}
+
+
+def test_pipeline_resume_after_config_change_matches_fresh_run(tmp_path):
+    # a changed system reruns simulate and every stage after it, although the
+    # later stages' own configs (file paths) did not change
+    linear = dict(README_PIPE_CFG, system=dict(README_PIPE_CFG["system"], hardening=0.0))
+    hard_cfg = write_config(tmp_path, "hard.json", README_PIPE_CFG)
+    linear_cfg = write_config(tmp_path, "linear.json", linear)
+    resumed, fresh = tmp_path / "resumed", tmp_path / "fresh"
+    assert run_cli("pipeline", "--config", hard_cfg, "--out", str(resumed)) == 0
+    hard_summary = (resumed / "pipeline_summary.json").read_bytes()
+    assert run_cli("pipeline", "--config", linear_cfg, "--out", str(resumed), "--resume") == 0
+    assert run_cli("pipeline", "--config", linear_cfg, "--out", str(fresh)) == 0
+    summary = (resumed / "pipeline_summary.json").read_bytes()
+    assert summary == (fresh / "pipeline_summary.json").read_bytes()
+    assert summary != hard_summary
+    assert read_json(fresh / "pipeline_summary.json")["verdict"] == "linear adequate"
+
+
 def test_pipeline_rerun_byte_identical_reports(tmp_path):
     cfg = write_config(tmp_path, "pipe.json", PIPE_CFG)
     out_a = tmp_path / "a"

@@ -4,7 +4,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsid.polybasis import (MonomialPlan, PolyMap, enumerate_monomials, eval_monomials,
-                             eval_polymap, jacobian_polymap, monomial_count)
+                             eval_polymap, jacobian_polymap, monomial_count,
+                             monomial_jacobian)
+
+
+# Independent references: a recursive graded-lex enumerator and a power-table
+# evaluator that multiplies ``x_j ** e_j`` variable by variable.
+
+def _reference_exponents(n_vars, degree):
+    if n_vars == 1:
+        return [(degree,)]
+    return [(first,) + rest for first in range(degree, -1, -1)
+            for rest in _reference_exponents(n_vars - 1, degree - first)]
+
+
+def _reference_values(exponents, x):
+    exps = np.array(exponents)
+    powers = x[:, :, None] ** np.arange(exps.max() + 1)   # (T, n_vars, degree + 1)
+    vals = np.ones((len(x), len(exps)))
+    for j in range(x.shape[1]):
+        vals *= powers[:, j, exps[:, j]]
+    return vals
+
+
+def _reference_jacobian(exponents, x):
+    exps = np.array(exponents)
+    jac = np.zeros((len(x), len(exps), x.shape[1]))
+    for j in range(x.shape[1]):
+        lowered = exps.copy()
+        lowered[:, j] = np.maximum(exps[:, j] - 1, 0)
+        jac[:, :, j] = exps[:, j] * _reference_values(lowered, x)
+    return jac
 
 
 def test_degree_two_in_two_vars():
@@ -58,7 +88,56 @@ def test_plan_table_matches_eval_monomials(n_vars, d_min, extra, seed):
     for level in plan.levels:
         table += [table[p] * z[v] for p, v in level]
     got = np.array(table)[plan.positions(basis)]
-    assert np.allclose(got, eval_monomials(basis, np.array(z)), rtol=1e-14, atol=0.0)
+    assert np.array_equal(got, eval_monomials(basis, np.array(z)))
+
+
+def test_batch_table_equals_float_recurrence():
+    # the simulation loops build each sample's monomials on Python floats;
+    # the batch values behind the fit Jacobians must be the same numbers
+    rng = np.random.default_rng(12)
+    for n_vars in range(1, 6):
+        for degree in range(1, 5):
+            basis = enumerate_monomials(n_vars, 0, degree)
+            plan = MonomialPlan(n_vars, degree)
+            points = rng.uniform(-3.0, 3.0, (200, n_vars))
+            rows = []
+            for z in points.tolist():
+                table = [1.0, *z]
+                for level in plan.levels:
+                    table += [table[p] * z[v] for p, v in level]
+                rows.append(table)
+            expected = np.array(rows)[:, plan.positions(basis)]
+            assert np.array_equal(eval_monomials(basis, points), expected), (n_vars, degree)
+
+
+def test_order_and_values_match_references():
+    rng = np.random.default_rng(13)
+    for n_vars in range(1, 5):
+        for d_min in range(0, 4):
+            for d_max in range(d_min, 4):
+                basis = enumerate_monomials(n_vars, d_min, d_max)
+                ref = [e for d in range(d_min, d_max + 1)
+                       for e in _reference_exponents(n_vars, d)]
+                assert list(basis.exponents) == ref
+                x = rng.uniform(-1.5, 1.5, (40, n_vars))
+                assert np.allclose(eval_monomials(basis, x), _reference_values(ref, x),
+                                   rtol=1e-12, atol=1e-12)
+                assert np.allclose(monomial_jacobian(basis, x), _reference_jacobian(ref, x),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_plan_order_is_graded_lex():
+    # by total degree, then descending exponents from the first variable on;
+    # every degree range is a slice of the full basis
+    for n_vars in range(1, 7):
+        for d_max in range(0, 6):
+            exps = enumerate_monomials(n_vars, 0, d_max).exponents
+            key = [(sum(e), tuple(-v for v in e)) for e in exps]
+            assert key == sorted(set(key))
+            assert len(exps) == monomial_count(n_vars, 0, d_max)
+            for d_min in range(d_max + 1):
+                assert enumerate_monomials(n_vars, d_min, d_max).exponents == tuple(
+                    e for e in exps if sum(e) >= d_min)
 
 
 def test_zero_coefficients_give_zero_output():

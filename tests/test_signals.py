@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlsid.signals import (MultisineSpec, SignalRecord, design_multisine, dft,
-                           flat_amplitude_spec, full_grid, idft, odd_grid,
-                           odd_random_skip_grid, random_phases, split_periods,
-                           tile_periods)
+from nlsid.nonparam import sample_statistics
+from nlsid.signals import (MultisineSpec, SignalRecord, design_multisine,
+                           flat_amplitude_spec, full_grid, odd_grid,
+                           odd_random_skip_grid, random_phases, tile_periods)
 from nlsid.serialize import (read_signal_record, write_signal_record,
                              write_json, read_json)
 
@@ -81,7 +81,7 @@ def test_odd_grid_excites_reported_lines_only():
         grid_kind="odd_only",
     )
     u = design_multisine(spec)
-    mags = np.abs(dft(u).bins[:32])
+    mags = np.abs(np.fft.fft(u)[:32])
     nonzero = set(np.flatnonzero(mags > 1e-9))
     assert nonzero == set(lines)
 
@@ -98,7 +98,7 @@ def test_rms_parseval():
 def test_unexcited_bin_energy_negligible():
     spec = random_phases(flat_amplitude_spec(128, 1.0, odd_grid(128, 41), grid_kind="odd_only"), 5)
     u = design_multisine(spec)
-    bins = dft(u).bins
+    bins = np.fft.fft(u)
     excited = set(spec.excited_lines)
     energy_total = np.sum(np.abs(bins) ** 2)
     energy_off = sum(
@@ -149,15 +149,15 @@ def test_random_phase_multisine_is_nearly_gaussian():
 
 
 def test_dft_constant_signal():
-    s = dft(np.full(8, 3.0))
-    assert s.bins[0] == pytest.approx(24.0)
-    assert np.allclose(s.bins[1:], 0.0, atol=1e-12)
+    bins = np.fft.fft(np.full(8, 3.0))
+    assert bins[0] == pytest.approx(24.0)
+    assert np.allclose(bins[1:], 0.0, atol=1e-12)
 
 
 def test_dft_single_cosine_bins():
     n, k0 = 32, 5
     x = np.cos(2 * np.pi * k0 * np.arange(n) / n)
-    bins = dft(x).bins
+    bins = np.fft.fft(x)
     assert bins[k0] == pytest.approx(n / 2)
     assert bins[n - k0] == pytest.approx(n / 2)
 
@@ -168,49 +168,28 @@ def test_dft_matches_naive_oracle():
     naive = np.array([
         sum(x[l] * np.exp(-2j * np.pi * k * l / 8) for l in range(8)) for k in range(8)
     ])
-    assert np.allclose(dft(x).bins, naive, atol=1e-12)
-
-
-def test_dft_round_trip():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=128)
-    back = idft(dft(x))
-    assert np.linalg.norm(back - x) / np.linalg.norm(x) < 1e-10
-
-
-def test_dft_rejects_empty():
-    with pytest.raises(ValueError):
-        dft(np.array([]))
+    assert np.allclose(np.fft.fft(x), naive, atol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(4, 64))
 @settings(max_examples=50, deadline=None)
 def test_parseval(seed, n):
     x = np.random.default_rng(seed).normal(size=n)
-    bins = dft(x).bins
+    bins = np.fft.fft(x)
     lhs = np.sum(np.abs(x) ** 2)
     rhs = np.sum(np.abs(bins) ** 2) / n
     assert abs(lhs - rhs) <= 1e-10 * max(lhs, 1.0)
 
 
-def test_split_periods_single():
-    rng = np.random.default_rng(2)
-    u = rng.normal(size=32)
-    y = rng.normal(size=32)
-    rec = SignalRecord(1.0, 32, 1, u, y)
-    pairs = split_periods(rec)
-    assert len(pairs) == 1
-    assert np.allclose(pairs[0][0].bins, dft(u).bins)
-    assert np.allclose(pairs[0][1].bins, dft(y).bins)
-
-
 def test_split_periods_identical_periods():
+    # identical periods: the per-period spectra agree, so they scatter by zero
     u = np.sin(2 * np.pi * np.arange(16) / 16)
     rec = SignalRecord(1.0, 16, 3, tile_periods(u, 3), tile_periods(u, 3))
-    pairs = split_periods(rec)
-    for us, ys in pairs[1:]:
-        assert np.allclose(us.bins, pairs[0][0].bins)
-        assert np.allclose(ys.bins, pairs[0][1].bins)
+    stats = sample_statistics(rec)
+    assert np.allclose(stats.u_mean, np.fft.fft(u))
+    assert np.allclose(stats.y_mean, np.fft.fft(u))
+    assert np.allclose(stats.u_var, 0.0, atol=1e-20)
+    assert np.allclose(stats.y_var, 0.0, atol=1e-20)
 
 
 def test_split_periods_mean_equals_dft_of_average():
@@ -219,11 +198,15 @@ def test_split_periods_mean_equals_dft_of_average():
     periods = [base + rng.normal(0, 0.1, 64) for _ in range(3)]
     y = np.concatenate(periods)
     rec = SignalRecord(1.0, 64, 3, tile_periods(base, 3), y)
-    pairs = split_periods(rec)
-    mean_spectrum = np.mean([p[1].bins for p in pairs], axis=0)
+    stats = sample_statistics(rec)
     avg_signal = np.mean(periods, axis=0)
-    assert np.allclose(mean_spectrum, dft(avg_signal).bins, atol=1e-9)
-    assert not np.allclose(pairs[0][1].bins, pairs[1][1].bins)
+    assert np.allclose(stats.y_mean, np.fft.fft(avg_signal), atol=1e-9)
+    assert np.allclose(stats.u_mean, np.fft.fft(base), atol=1e-9)
+    # the periods differ, so the spectra scatter around their mean
+    assert np.all(stats.y_var[1:] > 0.0)
+    # one period dropped: the mean is that of the other two
+    later = sample_statistics(rec, discard_periods=1)
+    assert np.allclose(later.y_mean, np.fft.fft(np.mean(periods[1:], axis=0)), atol=1e-9)
 
 
 def test_record_length_must_match_grid():
