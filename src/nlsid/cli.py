@@ -306,6 +306,17 @@ def cmd_fit_volterra(config: dict, out: Path, seed_override: int | None) -> None
     write_json(out / "volterra.json", model.to_dict())
 
 
+def _positive_int(key: str, value) -> int:
+    """``value`` of the config field ``key`` as a positive integer."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        number = 0
+    if number < 1:
+        raise ConfigError(f"config field '{key}' must be a positive integer, got {value!r}")
+    return number
+
+
 def cmd_decouple(config: dict, out: Path, seed_override: int | None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "polymap", "pnlss", "r", "branch_degree",
@@ -313,11 +324,16 @@ def cmd_decouple(config: dict, out: Path, seed_override: int | None) -> None:
     seed = seed_override if seed_override is not None else config.get("seed")
     if seed is None:
         raise ConfigError("missing required config field 'seed' (point cloud)")
-    seed = int(seed)
-    r = int(_require(config, "r"))
-    mode = config.get("mode", "approx")
+    try:
+        seed = int(seed)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field 'seed' must be an integer, got {seed!r}") from None
+    r = _positive_int("r", _require(config, "r"))
+    num_points = _positive_int("num_points", config.get("num_points", 500))
     branch_degree = config.get("branch_degree")
-    num_points = int(config.get("num_points", 500))
+    if branch_degree is not None:
+        branch_degree = _positive_int("branch_degree", branch_degree)
+    mode = config.get("mode", "approx")
     source_model = None
     if "polymap" in config:
         f = PolyMap.from_dict(read_json(config["polymap"]))
@@ -338,7 +354,7 @@ def cmd_decouple(config: dict, out: Path, seed_override: int | None) -> None:
         raise ConfigError("decouple needs either 'polymap' or 'pnlss'")
     kwargs = dict(num_points=num_points, seed=seed, points=points)
     if branch_degree is not None:
-        kwargs["branch_degree"] = int(branch_degree)
+        kwargs["branch_degree"] = branch_degree
     if mode == "exact":
         result = decouple_exact(f, r, **kwargs)
     elif mode == "approx":
@@ -349,6 +365,9 @@ def cmd_decouple(config: dict, out: Path, seed_override: int | None) -> None:
     payload["residual_max"] = result.residual_max
     payload["residual_rms"] = result.residual_rms
     payload["converged"] = result.converged
+    payload["cpd_error"] = result.cpd_error
+    payload["cpd_sweeps"] = result.cpd_sweeps
+    payload["cpd_stop"] = result.cpd_stop
     write_json(out / "decoupled.json", payload)
     if source_model is not None:
         from dataclasses import replace

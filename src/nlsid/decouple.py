@@ -120,6 +120,23 @@ class DecoupledFunction:
         """Values at a batch of points, shape (T, n_outputs)."""
         return eval_decoupled(self, p)
 
+    def branch_values(self, p: np.ndarray) -> np.ndarray:
+        """Branch outputs ``g_i(v_i . p)`` at a batch of points, shape (T, r).
+
+        Made elementwise in the order of the simulation loop of
+        :func:`nlsid.pnlss.simulate_pnlss`: ``x = v . p`` summed left to
+        right, then ``g(x)`` by Horner from the top coefficient, so both see
+        the same branch outputs bit for bit.
+        """
+        x = p[:, 0, None] * self.v[0]
+        for k in range(1, self.n_inputs):
+            x = x + p[:, k, None] * self.v[k]
+        cf = self._coefficient_matrix()  # zero top coefficients leave g at zero
+        g = np.zeros_like(x)
+        for j in range(cf.shape[1] - 1, -1, -1):
+            g = g * x + cf[:, j]
+        return g
+
     def _branch_terms(self, p: np.ndarray):
         """Padded coefficients, the powers ``x^j`` of the branch inputs
         ``x = V^T p`` (T, r, deg + 1) and the branch slopes ``g'(x)`` (T, r)."""
@@ -158,23 +175,32 @@ def eval_decoupled(d: DecoupledFunction, p: np.ndarray) -> np.ndarray:
     pts = p[None, :] if single else p
     if pts.shape[1] != d.n_inputs:
         raise ValueError(f"expected {d.n_inputs} inputs, got {pts.shape[1]}")
-    x = pts @ d.v  # (T, r)
-    g = np.stack([np.polyval(c[::-1], x[:, i]) for i, c in enumerate(d.branches)], axis=1)
-    q = g @ d.w.T
+    q = d.branch_values(pts) @ d.w.T
     return q[0] if single else q
 
 
 @dataclass(frozen=True)
 class CpdResult:
+    """Factors of one ALS run, its relative error per sweep, and why it
+    stopped (see :func:`cpd_als`): ``"converged"``, ``"stalled"``,
+    ``"plateau"`` or ``"cap"``."""
+
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
     rel_error: float
     error_history: np.ndarray
     converged: bool
+    stop: str
+
+    @property
+    def sweeps(self) -> int:
+        return len(self.error_history)
 
 
 CPD_MAX_SWEEPS = 2000
-CPD_REL_TOL = 1e-10     # stop once a sweep changes the relative error by less
+CPD_REL_TOL = 1e-10     # stop once a sweep lowers the relative error by less
 CPD_CONVERGED = 1e-8    # relative error at or below which the CPD is exact
+CPD_WINDOW = 100        # sweeps over which a plateau is measured ...
+CPD_PLATEAU = 1e-3      # ... and the share of the error it must fall by there
 CLOUD_DOMAIN = (-1.0, 1.0)  # every variable's range in a sampled point cloud
 BRANCH_REL_TOL = 1e-6   # a branch coefficient counts above this share of the largest
 
@@ -184,14 +210,29 @@ def cpd_als(tensor: np.ndarray, rank: int, seed: int = 0) -> CpdResult:
 
     One run from a HOSVD start: the leading left singular vectors of each
     unfolding, padded with seeded noise where a mode is thinner than the
-    rank.  Sweeps stop when the relative error changes by less than
-    ``CPD_REL_TOL`` of itself, or after ``CPD_MAX_SWEEPS``.  ``converged``
-    means the relative error reached ``CPD_CONVERGED``; a rank the tensor
-    cannot reach exactly reports ``converged=False`` with the fit it reached.
+    rank.  Every sweep updates the three factors and computes the relative
+    error once.  The run stops
+
+    * when a sweep lowers the error by less than ``CPD_REL_TOL`` of itself
+      (a rise counts too): ``"converged"`` at or below ``CPD_CONVERGED``,
+      where an exact decomposition only jitters at the rounding floor, and
+      ``"stalled"`` above it;
+    * on a plateau: after more than ``CPD_WINDOW`` sweeps, while the error
+      is above ``CPD_CONVERGED``, when it fell by less than ``CPD_PLATEAU``
+      of itself over the last ``CPD_WINDOW`` sweeps.  A rank the tensor
+      cannot reach creeps down there for thousands of sweeps without moving
+      the fit; a run at the true rank that crosses a swamp (a slow stretch
+      of tens of sweeps) still drops by far more over the window;
+    * or at ``"cap"``, after ``CPD_MAX_SWEEPS``.
+
+    ``converged`` means the relative error reached ``CPD_CONVERGED``; a rank
+    the tensor cannot reach exactly reports ``converged=False`` with the fit
+    it reached.
     """
     norm = np.linalg.norm(tensor)
     if norm == 0.0:
-        return CpdResult(tuple(np.zeros((s, rank)) for s in tensor.shape), 0.0, np.zeros(1), True)
+        return CpdResult(tuple(np.zeros((s, rank)) for s in tensor.shape), 0.0, np.zeros(1),
+                         True, "converged")
     rng = np.random.default_rng(seed)
     unfoldings = [_unfold(tensor, m) for m in range(3)]
     factors = []
@@ -203,7 +244,8 @@ def cpd_als(tensor: np.ndarray, rank: int, seed: int = 0) -> CpdResult:
             axis=1))
     errors = []
     prev = np.inf
-    for _ in range(CPD_MAX_SWEEPS):
+    stop = "cap"
+    for sweep in range(CPD_MAX_SWEEPS):
         for mode in range(3):
             others = [factors[m] for m in range(3) if m != mode]
             kr = _khatri_rao(others[0], others[1])
@@ -214,11 +256,16 @@ def cpd_als(tensor: np.ndarray, rank: int, seed: int = 0) -> CpdResult:
             ).T
         err = _cpd_error(unfoldings[0], factors, norm)
         errors.append(err)
-        if abs(prev - err) < CPD_REL_TOL * max(prev, 1e-300):
+        if prev - err < CPD_REL_TOL * max(prev, 1e-300):
+            stop = "converged" if err <= CPD_CONVERGED else "stalled"
+            break
+        if (sweep >= CPD_WINDOW and err > CPD_CONVERGED
+                and errors[-1 - CPD_WINDOW] - err < CPD_PLATEAU * err):
+            stop = "plateau"
             break
         prev = err
     return CpdResult(tuple(factors), errors[-1], np.asarray(errors),
-                     errors[-1] <= CPD_CONVERGED)
+                     errors[-1] <= CPD_CONVERGED, stop)
 
 
 def _unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
@@ -245,6 +292,8 @@ class DecoupleResult:
     residual_rms: float
     converged: bool
     cpd_error: float
+    cpd_sweeps: int
+    cpd_stop: str
 
 
 def _cloud(seed: int, count: int, n_vars: int, points: np.ndarray | None) -> np.ndarray:
@@ -336,7 +385,7 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
     cost wins; divergence inside LM just returns the best iterate.
     The reported residuals use a held-out cloud.  ``weight`` is per-output; a
     zero weight removes that output from the objective exactly.
-    ``converged`` and ``cpd_error`` are those of the CPD that started the
+    ``converged`` and the ``cpd_*`` fields are those of the CPD that started the
     winning attempt, so a rank the map cannot reach exactly reports
     ``converged=False``.
     """
@@ -415,6 +464,8 @@ def _result(f: PolyMap, func: DecoupledFunction, cpd: CpdResult, test: np.ndarra
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         converged=cpd.converged,
         cpd_error=cpd.rel_error,
+        cpd_sweeps=cpd.sweeps,
+        cpd_stop=cpd.stop,
     )
 
 

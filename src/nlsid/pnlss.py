@@ -16,6 +16,7 @@ re-optimized in the model-pruning workflow.
 
 from __future__ import annotations
 
+import math
 import warnings
 from array import array
 from dataclasses import dataclass, field, replace
@@ -35,6 +36,7 @@ from .simulators import DIVERGENCE_LIMIT
 COST_TOL = 1e-9        # LM stops after three accepted steps below this relative drop
 GRAD_TOL = 1e-8        # ... or once the gradient's largest entry is below this
 NUM_DIRECTIONS = 720   # random unit directions tried by single_branch_init
+CHUNK = 64             # points or directions per batched step of single_branch_init
 
 
 @dataclass(frozen=True)
@@ -482,42 +484,64 @@ def single_branch_init(model: PnlssModel, z_traj: np.ndarray,
     result is a PnlssModel with a one-branch DecoupledFunction state map,
     meant as the starting point of a refit by :func:`fit_pnlss` (or
     :func:`fit_pnlss_decoupled`), which may keep an output nonlinearity F.
+
+    The search tries ``NUM_DIRECTIONS`` seeded random directions, then a
+    shrinking local search around the best one: per radius, 40 seeded steps,
+    each taken when its direction fits better than the best so far.  It
+    scores a direction without touching the trajectory again.  The graded
+    monomial table of z up to degree d, whose first columns are ``[1, z]``,
+    is factored once as ``Q R`` (only R and ``Q^T E`` are formed, a chunk of
+    points at a time).  Since ``(v . z)^j`` is the sum over
+    ``|a| = j`` of ``multinom(a) v^a z^a``, the power columns of ``v`` are
+    ``Q R c(v)`` with ``c(v)`` those coefficients; with ``[1, z]`` fitted
+    exactly in the leading rows, the fit error is the part of ``E`` outside
+    span(Q) plus the least-squares residual of the rows of ``Q^T E`` below
+    ``[1, z]`` against ``R c(v)``: a problem as small as the monomial count.
+    Directions are scored in batches; the local search scores a radius's
+    remaining steps from the current best and moves to the first that beats
+    it, so it takes the same steps as one scored after the other.  The
+    returned model is fitted on the trajectory at the winning direction.
     """
     if not isinstance(model.e_map, PolyMap):
         raise TypeError("model.e_map must be a PolyMap")
+    if branch_degree < 2:
+        raise ValueError(f"branch_degree must be >= 2 (a power block), got {branch_degree}")
     n = model.state_dim
     z = np.atleast_2d(np.asarray(z_traj, dtype=float))
     if z.shape[1] != n + 1:
         raise ValueError(f"trajectory points must have {n + 1} columns")
     e_vals = model.e_map.coefficients @ eval_monomials(model.e_map.basis, z).T  # (n, T)
     e_vals = e_vals.T
-    base = np.concatenate([np.ones((len(z), 1)), z], axis=1)
     rng = np.random.default_rng(0)
-
-    def direction_fit(v):
-        x = z @ v
-        k = np.concatenate(
-            [base, np.stack([x**j for j in range(2, branch_degree + 1)], axis=1)], axis=1
-        )
-        sol, *_ = np.linalg.lstsq(k, e_vals, rcond=None)
-        return float(np.sqrt(np.mean((e_vals - k @ sol) ** 2))), sol
+    score = _direction_scorer(z, e_vals, branch_degree)
 
     dirs = rng.standard_normal((NUM_DIRECTIONS, n + 1))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    best = (np.inf, None, None)
-    for v in dirs:
-        rms, sol = direction_fit(v)
-        if rms < best[0]:
-            best = (rms, v, sol)
+    scores = score(dirs)
+    first = int(np.argmin(scores))  # the first of equal scores, as a running minimum
+    best_score, best_v = scores[first], dirs[first]
     # shrinking local search refines the winning direction
     for radius in (0.3, 0.1, 0.03, 0.01, 0.003, 0.001):
-        for _ in range(40):
-            v = best[1] + radius * rng.standard_normal(n + 1)
-            v /= np.linalg.norm(v)
-            rms, sol = direction_fit(v)
-            if rms < best[0]:
-                best = (rms, v, sol)
-    _, v, sol = best
+        steps = [rng.standard_normal(n + 1) for _ in range(40)]
+        while steps:
+            trials = []
+            for step in steps:
+                v = best_v + radius * step
+                v /= np.linalg.norm(v)
+                trials.append(v)
+            scores = score(np.array(trials))
+            better = np.flatnonzero(scores < best_score)
+            if not len(better):
+                break
+            k = better[0]
+            best_score, best_v = scores[k], trials[k]
+            steps = steps[k + 1 :]
+
+    x = z @ best_v
+    k_mat = np.concatenate([np.ones((len(z), 1)), z,
+                            np.stack([x**j for j in range(2, branch_degree + 1)], axis=1)],
+                           axis=1)
+    sol = np.linalg.lstsq(k_mat, e_vals, rcond=None)[0]
     const = sol[0]                       # (n,) leftover offset
     lin = sol[1 : n + 2].T               # (n, n+1)
     powers = sol[n + 2 :].T              # (n, d-1) coefficients of x^2..x^d
@@ -526,13 +550,51 @@ def single_branch_init(model: PnlssModel, z_traj: np.ndarray,
     coeffs = np.zeros(branch_degree + 1)
     coeffs[2:] = s_svd[0] * vt_svd[0]
     coeffs[0] = float(w @ const)         # rank-1 share of the offset
-    dec = DecoupledFunction(w[:, None], v[:, None], (coeffs,))
+    dec = DecoupledFunction(w[:, None], best_v[:, None], (coeffs,))
     return replace(
         model,
         a=model.a + lin[:, :n],
         b=model.b + lin[:, n],
         e_map=dec,
     )
+
+
+def _direction_scorer(z: np.ndarray, e_vals: np.ndarray, degree: int):
+    """Fit RMS of ``e_vals ~ [1, z, x^2 .. x^degree]`` with ``x = v . z``, as a
+    function of a batch of directions (n_dirs, n_vars) -> (n_dirs,), on one
+    QR of the monomial table of ``z`` (see :func:`single_branch_init`)."""
+    n_vars = z.shape[1]
+    plan = MonomialPlan(n_vars, degree)
+    m = plan.size
+    # the triangular factor of [table, E] holds R, Q^T E and, below them, E
+    # outside span(Q); it is built CHUNK points at a time and Q never formed
+    r_aug = np.zeros((0, m + e_vals.shape[1]))
+    for start in range(0, len(z), CHUNK):
+        rows = np.concatenate([plan.table(z[start : start + CHUNK]),
+                               e_vals[start : start + CHUNK]], axis=1)
+        r_aug = np.linalg.qr(np.concatenate([r_aug, rows]), mode="r")
+    r, g = r_aug[:m, :m], r_aug[:m, m:]
+    rest = float(np.sum(r_aug[m:, m:] ** 2))  # the same for every direction
+    size = e_vals.size
+    degrees = np.array(plan.exponents).sum(axis=1)
+    multinom = np.array([math.factorial(sum(e)) / math.prod(map(math.factorial, e))
+                         for e in plan.exponents])
+    below = slice(n_vars + 1, None)  # rows of Q^T below the [1, z] block
+    g_low = g[below]
+    blocks = [(degrees == j, r[below, degrees == j]) for j in range(2, degree + 1)]
+
+    def score(dirs: np.ndarray) -> np.ndarray:
+        out = np.empty(len(dirs))
+        for start in range(0, len(dirs), CHUNK):
+            coef = plan.table(dirs[start : start + CHUNK]) * multinom
+            # (chunk, rows, degree - 1): R times the coefficients of each power
+            block = np.stack([coef[:, cols] @ r_j.T for cols, r_j in blocks], axis=2)
+            qb = np.linalg.qr(block)[0]
+            resid = g_low - qb @ (qb.transpose(0, 2, 1) @ g_low)
+            out[start : start + CHUNK] = np.sum(resid**2, axis=(1, 2))
+        return np.sqrt((rest + out) / size)
+
+    return score
 
 
 def state_coverage(report: FitReport, sim: PnlssSimResult,

@@ -305,6 +305,32 @@ def test_decouple_cli_worked_polymap(tmp_path):
     assert run_cli("decouple", "--config", cfg, "--out", str(out)) == 0
     payload = read_json(out / "decoupled.json")
     assert payload["residual_max"] < 1e-8
+    assert payload["cpd_error"] <= 1e-8
+    assert payload["cpd_stop"] == "converged" and 0 < payload["cpd_sweeps"] < 300
+    again = tmp_path / "again"
+    assert run_cli("decouple", "--config", cfg, "--out", str(again)) == 0
+    assert (again / "decoupled.json").read_bytes() == (out / "decoupled.json").read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("r", "two"),
+    ("r", 0),
+    ("num_points", 0),
+    ("num_points", -5),
+    ("branch_degree", "x"),
+    ("seed", "x"),
+])
+def test_decouple_bad_config_value_exit_2(tmp_path, capsys, field, value):
+    from nlsid.polybasis import PolyMap
+    from nlsid.serialize import write_json as wj
+    wj(tmp_path / "f.json", PolyMap.zeros(2, 2, 0, 3).to_dict())
+    cfg = {"schema_version": 1, "polymap": str(tmp_path / "f.json"), "r": 2, "seed": 0}
+    cfg[field] = value
+    out = tmp_path / "dec"
+    assert run_cli("decouple", "--config", write_config(tmp_path, "dec.json", cfg),
+                   "--out", str(out)) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "decoupled.json").exists()
 
 
 PIPE_CFG = {

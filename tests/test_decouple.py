@@ -1,9 +1,12 @@
+from operator import mul
+
 import numpy as np
 import pytest
 
 from nlsid.decouple import (DecoupledFunction, canonicalize, cpd_als,
                             decouple_approx, decouple_exact, eval_decoupled,
                             to_polymap)
+from nlsid.pnlss import PnlssModel, simulate_pnlss
 from nlsid.polybasis import PolyMap, enumerate_monomials, eval_polymap
 
 
@@ -75,6 +78,36 @@ def test_generate_then_recover_rank_three():
     f = to_polymap(DecoupledFunction(w, v, branches))
     res = decouple_exact(f, r=3, num_points=400, seed=4)
     assert res.residual_max < 1e-8
+
+
+def test_branch_values_are_those_of_the_simulation_loop():
+    # with A = B = 0 and W = I, each simulated state is the branch outputs at
+    # the previous (x, u): the loop's left-to-right v . z and Horner pass
+    rng = np.random.default_rng(21)
+    v = rng.normal(0.0, 0.6, size=(3, 2))
+    branches = (np.array([0.1, 0.5, -0.2, 0.05, -0.02, 0.01]), np.array([-0.2, 0.4, 0.1]))
+    d = DecoupledFunction(np.eye(2), v, branches)
+    model = PnlssModel(a=np.zeros((2, 2)), b=np.zeros(2), c=np.ones(2), d=0.0, e_map=d,
+                       f_map=None, x0=np.zeros(2))
+    u = rng.uniform(-1.0, 1.0, 4001)
+    sim = simulate_pnlss(model, u)
+    assert not sim.diverged
+    z = np.concatenate([sim.x_traj, u[:, None]], axis=1)[:-1]
+    assert np.array_equal(d.branch_values(z), sim.x_traj[1:])
+    # and the per-sample loop itself, on points that are not a trajectory
+    p = rng.uniform(-1.0, 1.0, (4000, 3))
+    loop = []
+    for point in p.tolist():
+        row = []
+        for vi, c in zip(v.T.tolist(), branches):
+            s = sum(map(mul, vi, point))
+            g = 0.0
+            for cj in c[::-1].tolist():
+                g = g * s + cj
+            row.append(g)
+        loop.append(row)
+    assert np.array_equal(d.branch_values(p), np.array(loop))
+    assert np.array_equal(eval_decoupled(d, p), d.branch_values(p) @ d.w.T)
 
 
 def test_eval_identity():
@@ -178,6 +211,29 @@ def test_exact_below_the_rank_runs_one_cpd(monkeypatch):
     res = D.decouple_exact(rank_four_map(), r=3, seed=8)
     assert not res.converged
     assert 0 < len(calls) <= 2000
+
+
+def test_cpd_below_the_rank_stops_on_a_plateau():
+    res = decouple_exact(rank_four_map(), r=3, seed=8)
+    assert res.cpd_stop == "plateau"
+    assert res.cpd_sweeps < 600
+    assert not res.converged
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cpd_of_an_exact_decomposition_stops_at_the_rounding_floor(seed):
+    res = decouple_exact(worked_example_map(), r=2, num_points=300, seed=seed)
+    assert res.cpd_stop in ("stalled", "converged")
+    assert res.cpd_sweeps < 300
+    assert res.cpd_error <= 1e-12
+
+
+def test_cpd_result_reports_sweeps_and_stop():
+    rng = np.random.default_rng(6)
+    tensor = np.einsum("ir,jr,kr->ijk", *(rng.normal(size=(m, 2)) for m in (3, 4, 50)))
+    res = cpd_als(tensor, rank=2, seed=0)
+    assert res.sweeps == len(res.error_history) > 0
+    assert res.stop == "converged" and res.converged
 
 
 def test_approx_reports_cpd_that_misses_the_rank():

@@ -1,7 +1,9 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
@@ -11,6 +13,7 @@ from nlsid.polybasis import PolyMap, enumerate_monomials, eval_monomials
 from nlsid.pnlss import (FitReport, PnlssModel, fit_pnlss, fit_pnlss_decoupled,
                          init_linear_from_bla, simulate_pnlss,
                          single_branch_init, state_coverage)
+from nlsid.serialize import read_json
 from nlsid.signals import (SignalRecord, design_multisine, flat_amplitude_spec,
                            full_grid, random_phases, tile_periods)
 from nlsid.simulators import NoiseSpec, default_duffing, simulate_duffing, steady_state_record
@@ -467,6 +470,86 @@ def test_single_branch_init_on_rank_one_truth():
     sim_init = simulate_pnlss(init, u)
     rel = np.sqrt(np.mean((sim_init.y - sim.y) ** 2)) / np.sqrt(np.mean(sim.y**2))
     assert rel < 1e-4  # an initializer, not a fit: the refit polishes the rest
+
+
+def reference_single_branch_init(model, z, branch_degree):
+    """The sequential direction search: one least-squares fit over the whole
+    trajectory per direction, the search :func:`single_branch_init` must
+    reproduce bit for bit."""
+    n = model.state_dim
+    e_vals = (model.e_map.coefficients @ eval_monomials(model.e_map.basis, z).T).T
+    base = np.concatenate([np.ones((len(z), 1)), z], axis=1)
+    rng = np.random.default_rng(0)
+
+    def direction_fit(v):
+        x = z @ v
+        k = np.concatenate(
+            [base, np.stack([x**j for j in range(2, branch_degree + 1)], axis=1)], axis=1)
+        sol, *_ = np.linalg.lstsq(k, e_vals, rcond=None)
+        return float(np.sqrt(np.mean((e_vals - k @ sol) ** 2))), sol
+
+    dirs = rng.standard_normal((720, n + 1))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    best = (np.inf, None, None)
+    for v in dirs:
+        rms, sol = direction_fit(v)
+        if rms < best[0]:
+            best = (rms, v, sol)
+    for radius in (0.3, 0.1, 0.03, 0.01, 0.003, 0.001):
+        for _ in range(40):
+            v = best[1] + radius * rng.standard_normal(n + 1)
+            v /= np.linalg.norm(v)
+            rms, sol = direction_fit(v)
+            if rms < best[0]:
+                best = (rms, v, sol)
+    _, v, sol = best
+    u_svd, s_svd, vt_svd = np.linalg.svd(sol[n + 2 :].T, full_matrices=False)
+    w = u_svd[:, 0]
+    coeffs = np.zeros(branch_degree + 1)
+    coeffs[2:] = s_svd[0] * vt_svd[0]
+    coeffs[0] = float(w @ sol[0])
+    return replace(model, a=model.a + sol[1 : n + 2].T[:, :n], b=model.b + sol[1 : n + 2].T[:, n],
+                   e_map=DecoupledFunction(w[:, None], v[:, None], (coeffs,)))
+
+
+def assert_same_single_branch(got, want):
+    assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+    assert np.array_equal(got.e_map.v, want.e_map.v)
+    assert np.array_equal(got.e_map.w, want.e_map.w)
+    assert len(got.e_map.branches) == len(want.e_map.branches) == 1
+    assert np.array_equal(got.e_map.branches[0], want.e_map.branches[0])
+
+
+def test_single_branch_init_matches_sequential_search_on_criterion_5_cloud():
+    # the criterion-5 model of the benchmark, on its training excitation
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "c5_model.json"
+    model = PnlssModel.from_dict(read_json(path)["model"])
+    spec = flat_amplitude_spec(1024, 512.0, full_grid(1024, 150), rms=0.1)
+    u = tile_periods(design_multisine(random_phases(spec, 0)), 2)
+    sim = simulate_pnlss(model, u)
+    z = np.concatenate([sim.x_traj, u[:, None]], axis=1)
+    assert_same_single_branch(single_branch_init(model, z, branch_degree=5),
+                              reference_single_branch_init(model, z, 5))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), branch_degree=st.integers(3, 5),
+       e_degree=st.integers(2, 4), num_points=st.sampled_from([40, 300]))
+@example(seed=1, n=3, branch_degree=5, e_degree=3, num_points=40)  # 40 points, 126 monomials
+def test_single_branch_init_matches_sequential_search(seed, n, branch_degree, e_degree,
+                                                      num_points):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n, "poly", e_degrees=(2, e_degree))
+    z = rng.normal(0.0, 0.7, (num_points, n + 1))
+    assert_same_single_branch(single_branch_init(model, z, branch_degree),
+                              reference_single_branch_init(model, z, branch_degree))
+
+
+def test_single_branch_init_needs_a_power_block():
+    model = cubic_feedback_model()
+    z = np.random.default_rng(2).normal(size=(50, 3))
+    with pytest.raises(ValueError, match="branch_degree"):
+        single_branch_init(model, z, branch_degree=1)
 
 
 def test_state_coverage_flags_larger_inputs():
