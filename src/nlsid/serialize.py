@@ -7,6 +7,7 @@ digits so reruns of a deterministic computation produce byte-identical files.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +46,7 @@ def write_signal_record(path_csv: str | Path, rec: SignalRecord) -> None:
     """Write a record as ``t,u,y`` CSV plus a ``.json`` sidecar with the grid."""
     path_csv = Path(path_csv)
     t = np.arange(rec.period_samples * rec.num_periods) / rec.sample_rate_hz
-    lines = ["t,u,y"]
-    for ti, ui, yi in zip(t, rec.input, rec.output):
-        lines.append(f"{ti:.17g},{ui:.17g},{yi:.17g}")
-    path_csv.write_text("\n".join(lines) + "\n")
+    write_csv(path_csv, ["t", "u", "y"], [t, rec.input, rec.output])
     write_json(
         path_csv.with_suffix(".json"),
         {
@@ -61,12 +59,23 @@ def write_signal_record(path_csv: str | Path, rec: SignalRecord) -> None:
 
 
 def read_signal_record(path_csv: str | Path) -> SignalRecord:
+    """Read a record written by :func:`write_signal_record`.
+
+    Raises ``ValueError`` on a wrong header, a body without rows, a row that
+    is not three numbers, or a non-finite sample (from :class:`SignalRecord`).
+    """
     path_csv = Path(path_csv)
     meta = read_json(path_csv.with_suffix(".json"))
-    rows = path_csv.read_text().strip().splitlines()
-    if rows[0].strip() != "t,u,y":
-        raise ValueError(f"{path_csv}: expected header 't,u,y', got {rows[0]!r}")
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    with path_csv.open() as fh:
+        header = fh.readline().strip()
+        if header != "t,u,y":
+            raise ValueError(f"{path_csv}: expected header 't,u,y', got {header!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: reported below
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    if data.shape[0] == 0 or data.shape[1] != 3:
+        raise ValueError(f"{path_csv}: expected rows of three numbers after the header, "
+                         f"got {data.shape[0]} row(s) of {data.shape[1]}")
     return SignalRecord(
         sample_rate_hz=float(meta["fs"]),
         period_samples=int(meta["N"]),
@@ -79,13 +88,15 @@ def read_signal_record(path_csv: str | Path) -> SignalRecord:
 
 def write_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write aligned columns with a header row, floats at 17 significant digits."""
-    rows = ["," .join(header)]
-    for vals in zip(*columns):
-        rows.append(",".join(_format_cell(v) for v in vals))
-    Path(path).write_text("\n".join(rows) + "\n")
+    cells = [_format_column(column) for column in columns]
+    Path(path).write_text("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
+def _format_column(column) -> list[str]:
+    """One column's cells: floats at 17 significant digits, anything else by ``str``."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return [f"{v:.17g}" for v in column.tolist()]
+        column = column.tolist()
+    return [f"{float(v):.17g}" if isinstance(v, (float, np.floating)) else str(v)
+            for v in column]

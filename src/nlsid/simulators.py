@@ -161,48 +161,94 @@ class TanksParams:
             raise ValueError("overflow levels must be positive")
         if not 0.0 <= self.spill_fraction <= 1.0:
             raise ValueError("spill_fraction must lie in [0, 1]")
+        if self.oversample < 1:
+            raise ValueError("oversample must be >= 1")
 
 
 def simulate_tanks(params: TanksParams, u: np.ndarray, fs: float,
                    noise: NoiseSpec = NO_NOISE) -> SignalRecord:
     """Integrate the two-tank cascade ``x1' = -k1 sqrt(x1) + k4 u``,
     ``x2' = k2 sqrt(x1) - k3 sqrt(x2)`` with overflow clamping; output is the
-    lower level plus measurement noise."""
+    lower level plus measurement noise.
+
+    Each RK4 stage evaluates the rates at the state clamped to
+    ``[0, x_max]``; a full upper tank spills a fraction of its excess inflow
+    into the lower one, and a full lower tank does not rise.  The state is
+    clamped again after each step.  The loop is written out on Python floats.
+    A clamp is ``0.0 if x < 0.0 else (x_max if x > x_max else x)``, which is
+    exactly ``min(max(x, 0.0), x_max)``: both keep ``x`` unless a strict
+    comparison holds, so NaN and -0.0 pass through unchanged.  The first
+    stage needs no clamp, because the step before left the state clamped
+    (and clamping is idempotent).
+    """
     u = np.asarray(u, dtype=float)
     if fs <= 0:
         raise ValueError("fs must be positive")
-    h = 1.0 / (float(fs) * params.oversample)
-    k1, k2, k3, k4 = float(params.k1), float(params.k2), float(params.k3), float(params.k4)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("input contains non-finite samples")
+    oversample = params.oversample
+    h = 1.0 / (float(fs) * oversample)
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    k2, k3, k4 = float(params.k2), float(params.k3), float(params.k4)
+    neg_k1 = -float(params.k1)
     x1_max, x2_max = float(params.x1_max), float(params.x2_max)
     spill = float(params.spill_fraction)
-
-    def rates(x1, x2, uk):
-        x1c = min(max(x1, 0.0), x1_max)
-        x2c = min(max(x2, 0.0), x2_max)
-        d1 = -k1 * sqrt(x1c) + k4 * uk
-        d2 = k2 * sqrt(x1c) - k3 * sqrt(x2c)
-        if x1 >= x1_max and d1 > 0.0:
-            # upper tank is full: excess inflow spills, a fraction reaches tank 2
-            d2 += spill * d1
-            d1 = 0.0
-        if x2 >= x2_max and d2 > 0.0:
-            d2 = 0.0
-        return d1, d2
 
     x1 = 0.0
     x2 = 0.0
     y = np.empty(len(u))
     for i, uk in enumerate(u.tolist()):
         y[i] = x2
-        for _ in range(params.oversample):
-            a1, b1 = rates(x1, x2, uk)
-            a2, b2 = rates(x1 + 0.5 * h * a1, x2 + 0.5 * h * b1, uk)
-            a3, b3 = rates(x1 + 0.5 * h * a2, x2 + 0.5 * h * b2, uk)
-            a4, b4 = rates(x1 + h * a3, x2 + h * b3, uk)
-            x1 += (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            x2 += (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            x1 = min(max(x1, 0.0), x1_max)
-            x2 = min(max(x2, 0.0), x2_max)
+        inflow = k4 * uk
+        for _ in range(oversample):
+            r = sqrt(x1)
+            a1 = neg_k1 * r + inflow
+            b1 = k2 * r - k3 * sqrt(x2)
+            if x1 >= x1_max and a1 > 0.0:
+                # upper tank is full: excess inflow spills, a fraction reaches tank 2
+                b1 += spill * a1
+                a1 = 0.0
+            if x2 >= x2_max and b1 > 0.0:
+                b1 = 0.0
+
+            p = x1 + half_h * a1
+            q = x2 + half_h * b1
+            r = sqrt(0.0 if p < 0.0 else (x1_max if p > x1_max else p))
+            a2 = neg_k1 * r + inflow
+            b2 = k2 * r - k3 * sqrt(0.0 if q < 0.0 else (x2_max if q > x2_max else q))
+            if p >= x1_max and a2 > 0.0:
+                b2 += spill * a2
+                a2 = 0.0
+            if q >= x2_max and b2 > 0.0:
+                b2 = 0.0
+
+            p = x1 + half_h * a2
+            q = x2 + half_h * b2
+            r = sqrt(0.0 if p < 0.0 else (x1_max if p > x1_max else p))
+            a3 = neg_k1 * r + inflow
+            b3 = k2 * r - k3 * sqrt(0.0 if q < 0.0 else (x2_max if q > x2_max else q))
+            if p >= x1_max and a3 > 0.0:
+                b3 += spill * a3
+                a3 = 0.0
+            if q >= x2_max and b3 > 0.0:
+                b3 = 0.0
+
+            p = x1 + h * a3
+            q = x2 + h * b3
+            r = sqrt(0.0 if p < 0.0 else (x1_max if p > x1_max else p))
+            a4 = neg_k1 * r + inflow
+            b4 = k2 * r - k3 * sqrt(0.0 if q < 0.0 else (x2_max if q > x2_max else q))
+            if p >= x1_max and a4 > 0.0:
+                b4 += spill * a4
+                a4 = 0.0
+            if q >= x2_max and b4 > 0.0:
+                b4 = 0.0
+
+            x1 += sixth_h * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            x2 += sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            x1 = 0.0 if x1 < 0.0 else (x1_max if x1 > x1_max else x1)
+            x2 = 0.0 if x2 < 0.0 else (x2_max if x2 > x2_max else x2)
     y = _add_measurement_noise(y, noise)
     return SignalRecord(fs, len(u), 1, u, y, label="tanks")
 

@@ -209,14 +209,25 @@ def _effective_params(m: int, degree: int) -> int:
     return 1 + m + (m * (m + 1) // 2 if degree >= 2 else 0)
 
 
-def _penalty_matrix(reg: RegularizerSpec, m: int, degree: int) -> np.ndarray:
+def _prior_blocks(reg: RegularizerSpec, m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two penalty blocks of a prior: ``P1^-1`` and the upper-triangle
+    ``S^T P2^-1 S`` (empty at degree 1)."""
     p1, p2 = build_prior(reg, m, degree)
-    n_par = _effective_params(m, degree)
+    upper = _upper_prior(p2, m) if degree >= 2 else np.zeros((0, 0))
+    return np.linalg.inv(p1), upper
+
+
+def _assemble_penalty(p1_inv: np.ndarray, upper: np.ndarray, m: int) -> np.ndarray:
+    """``blockdiag(0, P1^-1, S^T P2^-1 S)``: the DC offset is unpenalized."""
+    n_par = 1 + m + len(upper)
     pen = np.zeros((n_par, n_par))
-    pen[1 : 1 + m, 1 : 1 + m] = np.linalg.inv(p1)
-    if degree >= 2:
-        pen[1 + m :, 1 + m :] = _upper_prior(p2, m)
+    pen[1 : 1 + m, 1 : 1 + m] = p1_inv
+    pen[1 + m :, 1 + m :] = upper
     return pen
+
+
+def _penalty_matrix(reg: RegularizerSpec, m: int, degree: int) -> np.ndarray:
+    return _assemble_penalty(*_prior_blocks(reg, m, degree), m)
 
 
 def _solve_ridge(k: np.ndarray, y: np.ndarray, reg: RegularizerSpec, m: int,
@@ -230,13 +241,15 @@ def _solve_ridge(k: np.ndarray, y: np.ndarray, reg: RegularizerSpec, m: int,
     return theta, pen, float(resid @ resid / dof)
 
 
-def _marginal_loglik(k: np.ndarray, y: np.ndarray, pen: np.ndarray,
-                     sigma2: float) -> float:
+def _marginal_loglik(k: np.ndarray, y: np.ndarray, ktk: np.ndarray, kty: np.ndarray,
+                     yy: float, pen: np.ndarray, sigma2: float) -> float:
     """Gaussian evidence of y = K theta + e, theta ~ N(0, pen^-1), e ~ N(0, sigma2 I).
 
     ``pen`` is the prior precision in the Bayesian sense.  The ridge cost
     ``(1/N) sum e^2 + theta^T R theta`` corresponds to a prior precision of
     ``R * N / sigma2``; callers tune R by passing that scaled matrix here.
+    ``ktk``, ``kty`` and ``yy`` are ``K^T K``, ``K^T y`` and ``y^T y``, which
+    do not depend on the prior.
 
     Uses the determinant lemma so all factorizations stay parameter-sized.
     The unpenalized offset gets a wide proper prior for the evidence
@@ -245,10 +258,10 @@ def _marginal_loglik(k: np.ndarray, y: np.ndarray, pen: np.ndarray,
     n, p = k.shape
     pen = pen.copy()
     pen[0, 0] = max(pen[0, 0], 1e-8)
-    a = pen * sigma2 + k.T @ k  # sigma2 * (pen + K^T K / sigma2)
+    a = pen * sigma2 + ktk  # sigma2 * (pen + K^T K / sigma2)
     cho = sp_linalg.cho_factor(a)
-    alpha = sp_linalg.cho_solve(cho, k.T @ y)
-    quad = (y @ y - y @ (k @ alpha)) / sigma2
+    alpha = sp_linalg.cho_solve(cho, kty)
+    quad = (yy - y @ (k @ alpha)) / sigma2
     logdet_a = 2.0 * np.sum(np.log(np.diag(cho[0])))
     sign, logdet_pen = np.linalg.slogdet(pen)
     if sign <= 0:
@@ -260,32 +273,48 @@ def _marginal_loglik(k: np.ndarray, y: np.ndarray, pen: np.ndarray,
 
 def _grid_search(k: np.ndarray, y: np.ndarray, reg: RegularizerSpec, m: int,
                  degree: int) -> tuple[np.ndarray, dict, float]:
+    """Pick ``(scale_1, decay_1, scale_2, decay_2)`` on a g x g x g x g grid by
+    marginal likelihood, the first maximum in grid order.
+
+    A candidate's penalty is ``blockdiag(0, P1^-1, S^T P2^-1 S)``, where the
+    P1 block depends only on ``(scale_1, decay_1)`` and the P2 block only on
+    ``(scale_2, decay_2)``.  So the g^2 blocks of each kind are built once
+    (one :func:`build_prior` per grid pair gives both: g^2 + g^2 blocks,
+    against 2 g^4 when each candidate builds its own prior), ``K^T K``,
+    ``K^T y`` and ``y^T y`` are formed once, and each of the g^4 candidates
+    only assembles its two blocks and evaluates the evidence.
+    """
     from dataclasses import replace
 
     n = len(y)
+    ktk = k.T @ k
+    kty = k.T @ y
+    yy = y @ y
     # noise level from a lightly regularized pilot fit
-    pilot = sp_linalg.solve(k.T @ k / n + 1e-6 * np.eye(k.shape[1]), k.T @ y / n)
+    pilot = sp_linalg.solve(ktk / n + 1e-6 * np.eye(k.shape[1]), kty / n)
     sigma2 = float(np.mean((y - k @ pilot) ** 2))
     sigma2 = max(sigma2, 1e-12 * float(np.mean(y**2)) + 1e-300)
     g = reg.grid_points
     scales = np.geomspace(1.0 / reg.grid_span, reg.grid_span, g)
     decays = np.unique(np.clip(np.linspace(0.6, 0.95, g), 0.05, 0.99))
+    pairs = [(s, d) for s in scales for d in decays]
+    blocks = [_prior_blocks(replace(reg, scale_1=reg.scale_1 * s, decay_1=d,
+                                    scale_2=reg.scale_2 * s, decay_2=d), m, degree)
+              for s, d in pairs]
     best = (-np.inf, None, None)
-    for s1 in scales:
-        for d1 in decays:
-            for s2 in scales:
-                for d2 in decays:
-                    cand = replace(reg, scale_1=reg.scale_1 * s1, decay_1=d1,
-                                   scale_2=reg.scale_2 * s2, decay_2=d2)
-                    pen = _penalty_matrix(cand, m, degree)
-                    ll = _marginal_loglik(k, y, pen * (n / sigma2), sigma2)
-                    if ll > best[0]:
-                        best = (ll, cand, pen)
-    _, cand, pen = best
-    gram = k.T @ k / n + pen
-    theta = sp_linalg.solve(gram, k.T @ y / n, assume_a="pos")
+    for i, (p1_inv, _) in enumerate(blocks):
+        for j, (_, upper) in enumerate(blocks):
+            pen = _assemble_penalty(p1_inv, upper, m)
+            ll = _marginal_loglik(k, y, ktk, kty, yy, pen * (n / sigma2), sigma2)
+            if ll > best[0]:
+                best = (ll, (i, j), pen)
+    ll, (i, j), pen = best
+    (s1, d1), (s2, d2) = pairs[i], pairs[j]
+    cand = replace(reg, scale_1=reg.scale_1 * s1, decay_1=d1,
+                   scale_2=reg.scale_2 * s2, decay_2=d2)
+    theta = sp_linalg.solve(ktk / n + pen, kty / n, assume_a="pos")
     hyper = _hyper_dict(cand)
-    hyper["marginal_loglik"] = best[0]
+    hyper["marginal_loglik"] = ll
     hyper["noise_variance"] = sigma2
     return theta, hyper, sigma2
 

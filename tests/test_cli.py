@@ -443,3 +443,29 @@ def test_non_finite_record_exit_2(tmp_path, capsys):
                                                "na": 2, "nb": 2, "degree": 2})
     assert run_cli("fit-narx", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("oversample", [0, -2])
+def test_pipeline_tanks_oversample_below_one_exit_2(tmp_path, capsys, oversample):
+    # unchecked, 0 divides by zero in the step size and -2 integrates nothing
+    cfg_dict = dict(PIPE_CFG, system=dict(TANKS_SYSTEM, oversample=oversample))
+    cfg = write_config(tmp_path, "pipe.json", cfg_dict)
+    assert run_cli("pipeline", "--config", cfg, "--out", str(tmp_path / "run")) == 2
+    assert "oversample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, message", [
+    ("", "0 row(s)"),
+    ("0,1.5,2.5\n1,0.5\n", "columns"),
+    ("0,1.5,2.5\n1,0.5,x\n", "'x'"),
+    ("0,1.5\n1,0.5\n", "of 2"),
+])
+def test_malformed_record_body_exit_2(tmp_path, capsys, body, message):
+    path = tmp_path / "record.csv"
+    write_signal_record(path, SignalRecord(1.0, 2, 1, np.ones(2), np.ones(2)))
+    path.write_text("t,u,y\n" + body)
+    cfg = write_config(tmp_path, "narx.json", {"schema_version": 1, "record": str(path),
+                                               "na": 1, "nb": 1, "degree": 1})
+    assert run_cli("fit-narx", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "does not load" in err and message in err

@@ -212,6 +212,33 @@ def test_free_run_feedback_divergence_matches_numpy_reference():
     assert model.max_lag < res.divergence_index < 80
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), na=st.integers(1, 3), nb=st.integers(0, 2),
+       direct_term=st.booleans(), degree=st.integers(1, 3),
+       feedback=st.floats(0.5, 3.0), level=st.sampled_from([0.1, 10.0, 1e4]),
+       bad_input=st.sampled_from([None, np.nan, np.inf]))
+def test_free_run_reports_divergence_as_a_status(seed, na, nb, direct_term, degree,
+                                                 feedback, level, bad_input):
+    rng = np.random.default_rng(seed)
+    model = random_narx(rng, na, nb, direct_term, degree)
+    coeffs = model.poly.coefficients.copy()
+    coeffs[0, 1] = feedback  # the y(t-1) term
+    model = NarxModel(na, nb, direct_term, PolyMap(model.poly.basis, coeffs),
+                      model.regressor_layout)
+    u = level * rng.normal(size=60)
+    if bad_input is not None:
+        u[30] = bad_input
+    res = simulate_free_run(model, u, 0.1 * rng.normal(size=na))
+    assert np.all(np.isfinite(res.y))
+    if res.diverged:
+        k = res.divergence_index
+        assert model.max_lag <= k < len(u)
+        assert np.all(res.y[k:] == res.y[k - 1])
+    else:
+        assert res.divergence_index is None
+        assert np.max(np.abs(res.y)) <= 1e6
+
+
 def test_duffing_free_run_and_extrapolation(duffing_narx):
     model, train, test, spec, params = duffing_narx
     free = simulate_free_run(model, test.input, y_init=test.output[: model.na])

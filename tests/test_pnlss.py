@@ -188,6 +188,45 @@ def test_simulate_divergence_matches_numpy_reference(e_kind, case, k):
         assert res.divergence_index == k
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       e_kind=st.sampled_from(["none", "poly", "decoupled"]),
+       radius=st.floats(0.5, 1.6), gain=st.sampled_from([1.0, 20.0, 1e3]),
+       level=st.sampled_from([0.1, 10.0, 1e4]),
+       last_state=st.sampled_from([None, np.nan, np.inf, -1e7]),
+       blind_output=st.booleans())
+def test_simulate_reports_divergence_as_a_status(seed, n, e_kind, radius, gain, level,
+                                                 last_state, blind_output):
+    # The state check max(map(abs, x)) > limit never flags a NaN state; the
+    # output sums every table entry, so 0 * NaN flags it there.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n, e_kind, f_degree=2)
+    e_map = model.e_map
+    if isinstance(e_map, PolyMap):
+        e_map = PolyMap(e_map.basis, gain * e_map.coefficients)
+    elif e_map is not None:
+        e_map = replace(e_map, w=gain * e_map.w)
+    c, x0 = model.c.copy(), model.x0.copy()
+    if blind_output:
+        c[-1] = 0.0
+    if last_state is not None:
+        x0[-1] = last_state
+    model = replace(model, a=model.a * (radius / 0.8), c=c, e_map=e_map, x0=x0)
+    u = level * rng.normal(size=60)
+    res = simulate_pnlss(model, u)
+    assert np.all(np.isfinite(res.y))
+    if res.diverged:
+        k = res.divergence_index
+        assert 0 <= k < len(u)
+        assert np.all(res.y[k:] == (res.y[k - 1] if k else 0.0))
+    else:
+        assert res.divergence_index is None
+        assert np.max(np.abs(res.y)) <= 1e6
+        assert np.all(np.isfinite(res.x_traj)) and np.max(np.abs(res.x_traj)) <= 1e6
+    if last_state is not None:
+        assert res.diverged and res.divergence_index == 0
+
+
 def test_init_linear_from_bla_exact_second_order():
     spec = flat_amplitude_spec(256, 1.0, full_grid(256, 100), rms=1.0)
     b, a = (0.2, 0.1, 0.05), (1.0, -1.2, 0.5)

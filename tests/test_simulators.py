@@ -194,12 +194,28 @@ OVERFLOWING_TANKS = TanksParams(k1=0.5, k2=0.4, k3=0.3, k4=1.0, x1_max=2.0, x2_m
                                 spill_fraction=0.3, oversample=8)
 
 
+# the inflow turns negative and both tanks drain to the lower clamp
+DRAINING_TANKS = TanksParams(k1=0.5, k2=0.4, k3=0.3, k4=1.0, x1_max=10.0, x2_max=10.0,
+                             oversample=2)
+# the lower tank saturates while the upper one stays below its level
+LOWER_FULL_TANKS = TanksParams(k1=0.5, k2=0.4, k3=0.3, k4=1.0, x1_max=10.0, x2_max=4.0,
+                               oversample=8)
+NO_SPILL_TANKS = TanksParams(k1=0.5, k2=0.4, k3=0.3, k4=1.0, x1_max=2.0, x2_max=2.5,
+                             spill_fraction=0.0, oversample=3)
+FULL_SPILL_TANKS = TanksParams(k1=0.5, k2=0.4, k3=0.3, k4=1.0, x1_max=2.0, x2_max=2.5,
+                               spill_fraction=1.0, oversample=1)
+
+
 @pytest.mark.parametrize("params, offset, rms", [
     (TANKS, 0.8, 0.3),
     (TanksParams(k1=0.5, k2=0.4, k3=0.3, k4=1.0, x1_max=10.0, x2_max=10.0,
                  oversample=8), 0.8, 0.4),
     # both tanks overflow: the upper one spills and the lower one saturates
     (OVERFLOWING_TANKS, 0.7, 0.5),
+    (DRAINING_TANKS, 0.0, 0.5),
+    (LOWER_FULL_TANKS, 0.8, 0.4),
+    (NO_SPILL_TANKS, 0.7, 0.5),
+    (FULL_SPILL_TANKS, 0.7, 0.5),
 ])
 def test_tanks_identical_to_numpy_scalar_loop(params, offset, rms):
     fs = 2.0
@@ -215,6 +231,26 @@ def test_tanks_equivalence_case_overflows_part_of_the_time():
     y = simulate_tanks(OVERFLOWING_TANKS, multisine_input(256, 2.0, 0.5, seed=9, offset=0.7),
                        2.0).output
     assert 0.1 < np.mean(y == OVERFLOWING_TANKS.x2_max) < 0.9
+
+
+@pytest.mark.parametrize("params, offset, rms, level", [
+    (DRAINING_TANKS, 0.0, 0.5, 0.0),
+    (LOWER_FULL_TANKS, 0.8, 0.4, 4.0),
+    (NO_SPILL_TANKS, 0.7, 0.5, 2.5),
+    (FULL_SPILL_TANKS, 0.7, 0.5, 2.5),
+])
+def test_tanks_equivalence_cases_clamp_part_of_the_time(params, offset, rms, level):
+    y = simulate_tanks(params, multisine_input(256, 2.0, rms, seed=9, offset=offset),
+                       2.0).output
+    assert 0.05 < np.mean(y[1:] == level) < 0.9
+
+
+def test_tanks_rejects_nonfinite_input():
+    for bad in (np.nan, np.inf):
+        u = np.zeros(16)
+        u[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            simulate_tanks(TANKS, u, 10.0)
 
 
 def test_tanks_zero_input_zero_output():

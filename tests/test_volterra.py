@@ -205,3 +205,98 @@ def test_short_record_warns():
     u = np.random.default_rng(10).normal(size=64)
     with pytest.warns(UserWarning, match="short"):
         fit_volterra(_record(u, u), m=6, degree=2)
+
+
+def reference_grid_search(k, y, reg, m, degree):
+    """Reference: the grid search that builds each candidate's prior and
+    forms K^T K, K^T y and y^T y inside every evidence evaluation."""
+    from dataclasses import replace
+
+    from nlsid.volterra import _hyper_dict, _penalty_matrix
+    from scipy import linalg as sp_linalg
+
+    def loglik(pen, sigma2):
+        n, p = k.shape
+        pen = pen.copy()
+        pen[0, 0] = max(pen[0, 0], 1e-8)
+        a = pen * sigma2 + k.T @ k
+        cho = sp_linalg.cho_factor(a)
+        alpha = sp_linalg.cho_solve(cho, k.T @ y)
+        quad = (y @ y - y @ (k @ alpha)) / sigma2
+        logdet_a = 2.0 * np.sum(np.log(np.diag(cho[0])))
+        sign, logdet_pen = np.linalg.slogdet(pen)
+        if sign <= 0:
+            return -np.inf
+        logdet = (n - p) * np.log(sigma2) + logdet_a - logdet_pen
+        return float(-0.5 * (quad + logdet + n * np.log(2.0 * np.pi)))
+
+    n = len(y)
+    pilot = sp_linalg.solve(k.T @ k / n + 1e-6 * np.eye(k.shape[1]), k.T @ y / n)
+    sigma2 = float(np.mean((y - k @ pilot) ** 2))
+    sigma2 = max(sigma2, 1e-12 * float(np.mean(y**2)) + 1e-300)
+    g = reg.grid_points
+    scales = np.geomspace(1.0 / reg.grid_span, reg.grid_span, g)
+    decays = np.unique(np.clip(np.linspace(0.6, 0.95, g), 0.05, 0.99))
+    best = (-np.inf, None, None)
+    for s1 in scales:
+        for d1 in decays:
+            for s2 in scales:
+                for d2 in decays:
+                    cand = replace(reg, scale_1=reg.scale_1 * s1, decay_1=d1,
+                                   scale_2=reg.scale_2 * s2, decay_2=d2)
+                    pen = _penalty_matrix(cand, m, degree)
+                    ll = loglik(pen * (n / sigma2), sigma2)
+                    if ll > best[0]:
+                        best = (ll, cand, pen)
+    _, cand, pen = best
+    theta = sp_linalg.solve(k.T @ k / n + pen, k.T @ y / n, assume_a="pos")
+    hyper = _hyper_dict(cand)
+    hyper["marginal_loglik"] = best[0]
+    hyper["noise_variance"] = sigma2
+    return theta, hyper
+
+
+def _wiener_record(seed, n=768):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=n)
+    x = sp_signal.lfilter([0.6, 0.3, 0.1], [1.0, -0.4], u)
+    return _record(u, x + 0.2 * x**2 + rng.normal(0, 0.05, n))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("grid_points", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grid_search_identical_to_per_candidate_priors(degree, grid_points, seed):
+    from nlsid.volterra import _model_from_theta, _regression_matrix
+
+    m = 5
+    rec = _wiener_record(seed)
+    reg = RegularizerSpec(tuning="marginal_likelihood_grid", grid_points=grid_points,
+                          scale_2=0.5, corr_2=0.3)
+    model = fit_volterra(rec, m=m, degree=degree, reg=reg)
+    k, t = _regression_matrix(rec.input, m, degree)
+    theta, hyper = reference_grid_search(k, rec.output[t], reg, m, degree)
+    ref = _model_from_theta(theta, m, degree, hyper)
+    assert model.h0 == ref.h0
+    assert np.array_equal(model.h1, ref.h1)
+    assert np.array_equal(model.h2, ref.h2)
+    assert model.hyper == ref.hyper
+
+
+@pytest.mark.parametrize("grid_points", [2, 3])
+def test_grid_search_builds_each_prior_block_once_per_grid_pair(monkeypatch, grid_points):
+    from nlsid import volterra
+
+    built = []
+    original = volterra.decaying_correlation_matrix
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(volterra, "decaying_correlation_matrix", counted)
+    fit_volterra(_wiener_record(0), m=4, degree=2,
+                 reg=RegularizerSpec(tuning="marginal_likelihood_grid",
+                                     grid_points=grid_points))
+    # one P1 and one P2 factor per (scale, decay) pair, against 2 g^4 per candidate
+    assert len(built) <= 2 * grid_points**2
