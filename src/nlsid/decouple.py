@@ -128,38 +128,43 @@ class DecoupledFunction:
         right, then ``g(x)`` by Horner from the top coefficient, so both see
         the same branch outputs bit for bit.
         """
-        x = p[:, 0, None] * self.v[0]
-        for k in range(1, self.n_inputs):
-            x = x + p[:, k, None] * self.v[k]
+        x = self._branch_inputs(p)
         cf = self._coefficient_matrix()  # zero top coefficients leave g at zero
         g = np.zeros_like(x)
         for j in range(cf.shape[1] - 1, -1, -1):
             g = g * x + cf[:, j]
         return g
 
+    def _branch_inputs(self, p: np.ndarray) -> np.ndarray:
+        """Branch inputs ``x = V^T p`` (T, r), summed left to right."""
+        x = p[:, 0, None] * self.v[0]
+        for k in range(1, self.n_inputs):
+            x = x + p[:, k, None] * self.v[k]
+        return x
+
     def _branch_terms(self, p: np.ndarray):
-        """Padded coefficients, the powers ``x^j`` of the branch inputs
-        ``x = V^T p`` (T, r, deg + 1) and the branch slopes ``g'(x)`` (T, r)."""
+        """The powers ``x^j`` of the branch inputs (T, r, deg + 1) and the
+        branch slopes ``g'(x)`` (T, r)."""
         cf = self._coefficient_matrix()
-        x = p @ self.v
+        x = self._branch_inputs(p)
         powers = np.stack([x**j for j in range(cf.shape[1])], axis=2)
         dg = np.zeros_like(x)
         for j in range(1, cf.shape[1]):
             dg += j * cf[:, j][None, :] * powers[:, :, j - 1]
-        return cf, powers, dg
+        return powers, dg
 
     def d_vars(self, p: np.ndarray) -> np.ndarray:
         """Derivatives ``W diag(g'(x)) V^T`` in the inputs, shape (T, n_outputs, n_inputs)."""
-        _, _, dg = self._branch_terms(p)
+        _, dg = self._branch_terms(p)
         return np.einsum("oi,ti,vi->tov", self.w, dg, self.v)
 
     def d_params(self, p: np.ndarray) -> np.ndarray:
         """Derivatives in :attr:`params`, shape (T, n_outputs, n_params)."""
-        cf, powers, dg = self._branch_terms(p)
+        powers, dg = self._branch_terms(p)
         t_len = len(p)
         n_q, r = self.w.shape
         jw = np.zeros((t_len, n_q, n_q * r))
-        g = np.einsum("trj,rj->tr", powers, cf)
+        g = self.branch_values(p)
         for o in range(n_q):
             jw[:, o, o * r : (o + 1) * r] = g
         # dq/dV[j, i] = W[:, i] g_i'(x_i) p_j, at flat index j * r + i

@@ -16,12 +16,11 @@ re-optimized in the model-pruning workflow.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from array import array
 from dataclasses import dataclass, field, replace
-from math import isfinite
-from operator import mul
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -37,6 +36,8 @@ COST_TOL = 1e-9        # LM stops after three accepted steps below this relative
 GRAD_TOL = 1e-8        # ... or once the gradient's largest entry is below this
 NUM_DIRECTIONS = 720   # random unit directions tried by single_branch_init
 CHUNK = 64             # points or directions per batched step of single_branch_init
+SENS_BLOCK = 32        # samples per block of the sensitivity recursion (16..128 time alike)
+CHAIN_TERMS = 100      # terms per statement of a generated dot product
 
 
 @dataclass(frozen=True)
@@ -143,11 +144,23 @@ def simulate_pnlss(model: PnlssModel, u: np.ndarray,
                    x0: np.ndarray | None = None) -> PnlssSimResult:
     """Simulate the model; divergence truncates with a status, not an error.
 
-    The loop steps on Python floats.  With ``z = (x, u)``, the output and
-    every state update are each one dot product with the table
-    ``[1, z, monomials of z]`` of a :class:`MonomialPlan`; a decoupled E
-    appends its branch outputs ``g_i(v_i . z)`` to the table, one Horner
-    pass per branch, and W joins the state rows.
+    With ``z = (x, u)``, the output and every state update are each one dot
+    product with the table ``[1, z, monomials of z]`` of a
+    :class:`MonomialPlan`; a decoupled E appends its branch outputs
+    ``g_i(v_i . z)`` to the table, one Horner pass per branch, and W joins
+    the state rows.  The per-sample step is straight-line Python source,
+    generated and compiled once per model structure (:func:`_step_kernel`):
+    one product per plan entry, in plan order, and each dot product an
+    explicit left-to-right chain over the table columns its row uses (the
+    A, B, C, D columns, the E and F basis positions and the W columns); the
+    structural zeros of the table are left out.  The step runs on Python
+    floats, so its monomials are bit for bit those of the batched tables
+    behind the fit; coefficients reach it through ``.tolist()``, as a numpy
+    scalar would slow every product and warn on overflow.
+
+    The simulation stops at the first sample whose output or state is not
+    within ``DIVERGENCE_LIMIT`` in magnitude (a NaN or an infinity fails
+    that test too); the output from there on holds its last value before.
     """
     u = np.asarray(u, dtype=float)
     n = model.state_dim
@@ -156,40 +169,31 @@ def simulate_pnlss(model: PnlssModel, u: np.ndarray,
     e_map, f_map = model.e_map, model.f_map
     poly_degrees = [m.basis.degree_max for m in (e_map, f_map) if isinstance(m, PolyMap)]
     plan = MonomialPlan(n + 1, max(poly_degrees, default=1))
+    linear = list(range(1, n + 2))
+    state_cols, out_cols = linear, linear
     decoupled = isinstance(e_map, DecoupledFunction)
     x_rows = np.zeros((n, plan.size + (e_map.r if decoupled else 0)))
     x_rows[:, 1 : n + 2] = np.column_stack([model.a, model.b])
     y_row = np.zeros(plan.size)
     y_row[1 : n + 2] = [*model.c, model.d]
-    branches = []
+    branch_params, branch_degrees = [], ()
     if isinstance(e_map, PolyMap):
-        x_rows[:, plan.positions(e_map.basis)] += e_map.coefficients
+        positions = plan.positions(e_map.basis)
+        x_rows[:, positions] += e_map.coefficients
+        state_cols = sorted({*linear, *positions})
     elif decoupled:
         x_rows[:, plan.size :] = e_map.w
-        branches = [(v, c[::-1].tolist()) for v, c in zip(e_map.v.T.tolist(), e_map.branches)]
+        state_cols = [*linear, *range(plan.size, plan.size + e_map.r)]
+        for v, c in zip(e_map.v.T.tolist(), e_map.branches):
+            branch_params += v + c[::-1].tolist()
+        branch_degrees = tuple(len(c) - 1 for c in e_map.branches)
     if f_map is not None:
-        y_row[plan.positions(f_map.basis)] += f_map.coefficients[0]
-    x_rows, y_row, levels = x_rows.tolist(), y_row.tolist(), plan.levels
-    ys, xs = array("d"), array("d")  # raw doubles: no float object kept per sample
-    diverged = False
-    for ut in u.tolist():
-        xs.extend(x)
-        z = [*x, ut]
-        table = [1.0, *z]
-        for level in levels:
-            table += [table[p] * z[v] for p, v in level]
-        yt = sum(map(mul, y_row, table))
-        ys.append(yt)
-        if not isfinite(yt) or abs(yt) > DIVERGENCE_LIMIT or max(map(abs, x)) > DIVERGENCE_LIMIT:
-            diverged = True
-            break
-        for v, coeffs in branches:
-            s = sum(map(mul, v, z))
-            g = 0.0
-            for c in coeffs:
-                g = g * s + c
-            table.append(g)
-        x = [sum(map(mul, row, table)) for row in x_rows]
+        positions = plan.positions(f_map.basis)
+        y_row[positions] += f_map.coefficients[0]
+        out_cols = sorted({*linear, *positions})
+    kernel = _step_kernel(n, plan.levels, tuple(state_cols), tuple(out_cols), branch_degrees)
+    params = [*y_row[out_cols].tolist(), *x_rows[:, state_cols].ravel().tolist(), *branch_params]
+    ys, xs, diverged = kernel(u.tolist(), x, params, DIVERGENCE_LIMIT)
     y = np.zeros(t_len)
     x_traj = np.zeros((t_len, n))
     y[: len(ys)] = ys
@@ -199,6 +203,69 @@ def simulate_pnlss(model: PnlssModel, u: np.ndarray,
         y[t:] = y[t - 1] if t > 0 else 0.0
         return PnlssSimResult(y, x_traj, True, t)
     return PnlssSimResult(y, x_traj, False, None)
+
+
+@functools.cache
+def _step_kernel(n: int, levels: tuple, state_cols: tuple, out_cols: tuple,
+                 branch_degrees: tuple):
+    """The simulation loop of one model structure, compiled from generated
+    source.
+
+    Local ``t{k}`` holds table entry ``k``: ``t0 = 1``, the states
+    ``t1..t{n}``, the input ``t{n+1}``, then the plan's monomials and the
+    branch outputs.  The generated ``kernel(u, x, params, limit)`` takes the
+    inputs and the start state as lists of floats, and ``params`` as the
+    output row's coefficients on ``out_cols``, each state row's on
+    ``state_cols``, then per branch its V column and its coefficients from
+    the top down; it returns the output and state samples as raw doubles and
+    whether the run diverged.
+    """
+    states = [f"t{i}" for i in range(1, n + 1)]
+    products = [pair for level in levels for pair in level]
+    size = n + 2 + len(products)
+    q = [f"q{j}" for j in out_cols]
+    a = [[f"a{i}_{j}" for j in state_cols] for i in range(n)]
+    branches = [([f"v{i}_{k}" for k in range(n + 1)], [f"c{i}_{j}" for j in range(deg + 1)])
+                for i, deg in enumerate(branch_degrees)]
+    params = q + [name for row in a for name in row]
+    for v, c in branches:
+        params += v + c
+
+    def chain(target, coefs, cols):
+        # target = 0.0 + c * t + ..., left to right; a long sum goes on in
+        # further statements, since the compiler recurses once per term
+        terms = [f"{p} * t{k}" for p, k in zip(coefs, cols)]
+        return [f"    {target} = " + " + ".join([target if start else "0.0",
+                                                *terms[start : start + CHAIN_TERMS]])
+                for start in range(0, len(terms), CHAIN_TERMS)]
+
+    body = [f"{', '.join(states)}, = x",
+            f"{', '.join(params)}, = params",
+            "t0 = 1.0",
+            "ys, xs = array('d'), array('d')",
+            "y_append, x_extend = ys.append, xs.extend",
+            f"for t{n + 1} in u:",
+            f"    x_extend(({', '.join(states)},))"]
+    body += [f"    t{k} = t{parent} * t{var + 1}"
+             for k, (parent, var) in enumerate(products, n + 2)]
+    body += chain("y", q, out_cols)
+    body += ["    y_append(y)",
+             "    if not (abs(y) <= limit"
+             + "".join(f" and abs({s}) <= limit" for s in states) + "):",
+             "        return ys, xs, True"]
+    for i, (v, c) in enumerate(branches):
+        horner = f"0.0 * s + {c[0]}"
+        for coef in c[1:]:
+            horner = f"({horner}) * s + {coef}"
+        body += chain("s", v, range(1, n + 2)) + [f"    t{size + i} = {horner}"]
+    for i, row in enumerate(a):
+        body += chain(f"x{i}", row, state_cols)
+    body += [f"    {', '.join(states)}, = {', '.join(f'x{i}' for i in range(n))},",
+             "return ys, xs, False"]
+    source = "def kernel(u, x, params, limit):\n" + "\n".join("    " + line for line in body)
+    namespace = {"array": array}
+    exec(compile(source, f"<simulate_pnlss step n={n}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _rational_fit_sk(omega: np.ndarray, g: np.ndarray, order: int,
@@ -358,14 +425,46 @@ def _output_jacobian(model: PnlssModel, x_traj: np.ndarray, u: np.ndarray) -> np
 
 def _state_sensitivities(a: np.ndarray, e_x: np.ndarray, direct: np.ndarray,
                          x0_offset: int, n: int) -> np.ndarray:
-    """Run J_x(t+1) = (A + E_x(t)) J_x(t) + direct(t) with J_x(0) = I on the
-    x0 block."""
+    """Run ``J(t+1) = M(t) J(t) + direct(t)``, ``M(t) = A + E_x(t)``, with
+    ``J(0) = I`` on the x0 block; shape (T, n, n_theta).
+
+    The record is cut into blocks of ``SENS_BLOCK`` samples.  Within block
+    ``b``, starting at sample ``s``, ``J(s + k) = Phi_b(k) J(s) + P_b(k)``:
+    the transition products ``Phi_b(k) = M(s + k - 1) ... M(s)`` and the
+    response ``P_b(k)`` from a zero start are run for all blocks at once, k
+    step by step.  Only the block starts ``J(s)`` are then carried one block
+    after the other, and ``Phi_b J(s)`` is added in one batched product.
+    The samples after the last whole block follow from the last start one by
+    one.  Each sample takes a different rounding path than the plain
+    recursion, so ``J`` agrees with it to rounding, not bit for bit.
+    """
     t_len, _, n_theta = direct.shape
     m_t = a[None, :, :] + e_x
-    jx = np.zeros((t_len, n, n_theta))
+    jx = np.empty((t_len, n, n_theta))
+    block = SENS_BLOCK
+    blocks = t_len // block
+    whole = blocks * block
+    m_b = m_t[:whole].reshape(blocks, block, n, n)
+    d_b = direct[:whole].reshape(blocks, block, n, n_theta)
+    p_b = jx[:whole].reshape(blocks, block, n, n_theta)  # a view: P is built in place
+    phi = np.empty((blocks, block, n, n))
+    p_b[:, 0] = 0.0
+    phi[:, 0] = np.eye(n)
+    for k in range(block - 1):
+        p_b[:, k + 1] = m_b[:, k] @ p_b[:, k] + d_b[:, k]
+        phi[:, k + 1] = m_b[:, k] @ phi[:, k]
+    p_end = m_b[:, -1] @ p_b[:, -1] + d_b[:, -1]
+    phi_end = m_b[:, -1] @ phi[:, -1]
+    starts = np.empty((blocks + 1, n, n_theta))
     cur = np.zeros((n, n_theta))
     cur[:, x0_offset : x0_offset + n] = np.eye(n)
-    for t in range(t_len):
+    starts[0] = cur
+    for b in range(blocks):
+        cur = phi_end[b] @ cur + p_end[b]
+        starts[b + 1] = cur
+    # Phi_b(k) J(s) for all k of a block is one (block * n, n) @ (n, n_theta) product
+    p_b += (phi.reshape(blocks, block * n, n) @ starts[:-1]).reshape(p_b.shape)
+    for t in range(whole, t_len):
         jx[t] = cur
         cur = m_t[t] @ cur + direct[t]
     return jx

@@ -4,9 +4,10 @@ One engine makes every monomial: a :class:`MonomialPlan` forms each monomial
 of degree ``d >= 2`` as one of degree ``d - 1`` times one variable.  Its
 exponents are the :class:`MonomialBasis` enumeration, its batch table gives
 :func:`eval_monomials` and, read at ``e - 1_j``, :func:`monomial_jacobian`.
-The NARX and PNLSS simulation loops make the same products in the same order
-on Python floats, so simulations, fit Jacobians and the decoupler see
-identical monomials.  :class:`PolyMap` couples a basis with coefficients.
+The NARX simulation loop and the generated PNLSS step (one line per plan
+entry) make the same products in the same order on Python floats, so
+simulations, fit Jacobians and the decoupler see identical monomials.
+:class:`PolyMap` couples a basis with coefficients.
 """
 
 from __future__ import annotations

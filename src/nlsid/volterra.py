@@ -282,7 +282,10 @@ def _grid_search(k: np.ndarray, y: np.ndarray, reg: RegularizerSpec, m: int,
     (one :func:`build_prior` per grid pair gives both: g^2 + g^2 blocks,
     against 2 g^4 when each candidate builds its own prior), ``K^T K``,
     ``K^T y`` and ``y^T y`` are formed once, and each of the g^4 candidates
-    only assembles its two blocks and evaluates the evidence.
+    only assembles its two blocks and evaluates the evidence.  At degree 1
+    the penalty has no P2 block, so only the g^2 candidates with the first
+    ``(scale_2, decay_2)`` pair are evaluated: the others tie with them and
+    the first of equal maxima wins.
     """
     from dataclasses import replace
 
@@ -302,8 +305,9 @@ def _grid_search(k: np.ndarray, y: np.ndarray, reg: RegularizerSpec, m: int,
                                     scale_2=reg.scale_2 * s, decay_2=d), m, degree)
               for s, d in pairs]
     best = (-np.inf, None, None)
+    p2_blocks = blocks if degree >= 2 else blocks[:1]
     for i, (p1_inv, _) in enumerate(blocks):
-        for j, (_, upper) in enumerate(blocks):
+        for j, (_, upper) in enumerate(p2_blocks):
             pen = _assemble_penalty(p1_inv, upper, m)
             ll = _marginal_loglik(k, y, ktk, kty, yy, pen * (n / sigma2), sigma2)
             if ll > best[0]:

@@ -1,5 +1,3 @@
-from operator import mul
-
 import numpy as np
 import pytest
 
@@ -100,7 +98,9 @@ def test_branch_values_are_those_of_the_simulation_loop():
     for point in p.tolist():
         row = []
         for vi, c in zip(v.T.tolist(), branches):
-            s = sum(map(mul, vi, point))
+            s = 0.0  # left to right: Python 3.12's sum() of floats is compensated
+            for a, b in zip(vi, point):
+                s = s + a * b
             g = 0.0
             for cj in c[::-1].tolist():
                 g = g * s + cj
@@ -108,6 +108,16 @@ def test_branch_values_are_those_of_the_simulation_loop():
         loop.append(row)
     assert np.array_equal(d.branch_values(p), np.array(loop))
     assert np.array_equal(eval_decoupled(d, p), d.branch_values(p) @ d.w.T)
+
+
+def test_d_params_w_block_is_the_branch_values():
+    rng = np.random.default_rng(22)
+    d = DecoupledFunction(rng.normal(size=(3, 2)), rng.normal(0.0, 0.6, size=(4, 2)),
+                          (rng.normal(size=6), rng.normal(size=3)))
+    p = rng.uniform(-1.0, 1.0, (4000, 4))
+    jac = d.d_params(p)
+    for o in range(3):
+        assert np.array_equal(jac[:, o, 2 * o : 2 * o + 2], d.branch_values(p))
 
 
 def test_eval_identity():

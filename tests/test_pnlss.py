@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,9 +11,9 @@ from scipy import signal as sp_signal
 
 from nlsid.bla import estimate_bla_spectral
 from nlsid.decouple import DecoupledFunction, eval_decoupled
-from nlsid.polybasis import PolyMap, enumerate_monomials, eval_monomials
-from nlsid.pnlss import (FitReport, PnlssModel, fit_pnlss, fit_pnlss_decoupled,
-                         init_linear_from_bla, simulate_pnlss,
+from nlsid.polybasis import MonomialPlan, PolyMap, enumerate_monomials, eval_monomials
+from nlsid.pnlss import (SENS_BLOCK, FitReport, PnlssModel, _state_sensitivities, fit_pnlss,
+                         fit_pnlss_decoupled, init_linear_from_bla, simulate_pnlss,
                          single_branch_init, state_coverage)
 from nlsid.serialize import read_json
 from nlsid.signals import (SignalRecord, design_multisine, flat_amplitude_spec,
@@ -197,8 +199,8 @@ def test_simulate_divergence_matches_numpy_reference(e_kind, case, k):
        blind_output=st.booleans())
 def test_simulate_reports_divergence_as_a_status(seed, n, e_kind, radius, gain, level,
                                                  last_state, blind_output):
-    # The state check max(map(abs, x)) > limit never flags a NaN state; the
-    # output sums every table entry, so 0 * NaN flags it there.
+    # The step tests the output and every state against the limit in
+    # magnitude, a test that NaN and infinities fail as well.
     rng = np.random.default_rng(seed)
     model = random_model(rng, n, e_kind, f_degree=2)
     e_map = model.e_map
@@ -225,6 +227,194 @@ def test_simulate_reports_divergence_as_a_status(seed, n, e_kind, radius, gain, 
         assert np.all(np.isfinite(res.x_traj)) and np.max(np.abs(res.x_traj)) <= 1e6
     if last_state is not None:
         assert res.diverged and res.divergence_index == 0
+
+
+def reference_simulate_pnlss(model, u, x0=None):
+    """The per-sample loop the generated step replaced.
+
+    Each sample forms the whole table ``[1, z, monomials of z]`` (the branch
+    outputs appended after the output), and the output and every state row
+    sum over all of it, structural zeros included, left to right in an
+    explicit loop (Python 3.12's ``sum`` of floats is compensated).  It
+    flags divergence on a non-finite or large output or a large state.
+    Returns ``(y, x_traj, diverged, index, finite)``, ``finite`` telling
+    whether every table entry it formed was finite.
+    """
+    u = np.asarray(u, dtype=float)
+    n = model.state_dim
+    x = (model.x0 if x0 is None else np.asarray(x0, dtype=float).reshape(n)).tolist()
+    e_map, f_map = model.e_map, model.f_map
+    poly_degrees = [m.basis.degree_max for m in (e_map, f_map) if isinstance(m, PolyMap)]
+    plan = MonomialPlan(n + 1, max(poly_degrees, default=1))
+    decoupled = isinstance(e_map, DecoupledFunction)
+    x_rows = np.zeros((n, plan.size + (e_map.r if decoupled else 0)))
+    x_rows[:, 1 : n + 2] = np.column_stack([model.a, model.b])
+    y_row = np.zeros(plan.size)
+    y_row[1 : n + 2] = [*model.c, model.d]
+    branches = []
+    if isinstance(e_map, PolyMap):
+        x_rows[:, plan.positions(e_map.basis)] += e_map.coefficients
+    elif decoupled:
+        x_rows[:, plan.size :] = e_map.w
+        branches = [(v, c[::-1].tolist()) for v, c in zip(e_map.v.T.tolist(), e_map.branches)]
+    if f_map is not None:
+        y_row[plan.positions(f_map.basis)] += f_map.coefficients[0]
+    x_rows, y_row = x_rows.tolist(), y_row.tolist()
+
+    def dot(row, table):
+        acc = 0.0
+        for a, b in zip(row, table):
+            acc = acc + a * b
+        return acc
+
+    ys, xs, finite = [], [], True
+    diverged = False
+    for ut in u.tolist():
+        xs.append(x)
+        z = [*x, ut]
+        table = [1.0, *z]
+        for level in plan.levels:
+            table += [table[p] * z[v] for p, v in level]
+        yt = dot(y_row, table)
+        ys.append(yt)
+        finite = finite and all(map(math.isfinite, table))
+        if not math.isfinite(yt) or abs(yt) > 1e6 or max(map(abs, x)) > 1e6:
+            diverged = True
+            break
+        for v, coeffs in branches:
+            s = dot(v, z)
+            g = 0.0
+            for c in coeffs:
+                g = g * s + c
+            table.append(g)
+        finite = finite and all(map(math.isfinite, table))
+        x = [dot(row, table) for row in x_rows]
+    y = np.zeros(len(u))
+    x_traj = np.zeros((len(u), n))
+    y[: len(ys)] = ys
+    x_traj[: len(ys)] = np.array(xs).reshape(-1, n)
+    if diverged:
+        t = len(ys) - 1
+        y[t:] = y[t - 1] if t > 0 else 0.0
+        return y, x_traj, True, t, finite
+    return y, x_traj, False, None, finite
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       e_kind=st.sampled_from(["none", "poly", "decoupled"]),
+       e_degrees=st.sampled_from([(0, 2), (1, 3), (2, 2), (2, 3), (3, 3)]),
+       branch_degrees=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       f_degree=st.sampled_from([None, 2, 3]),
+       radius=st.sampled_from([0.8, 1.3]),
+       override_x0=st.booleans(),
+       bad_state=st.none() | st.sampled_from([np.nan, np.inf, -1e7]))
+def test_simulate_is_the_reference_loop_bit_for_bit(seed, n, e_kind, e_degrees, branch_degrees,
+                                                   f_degree, radius, override_x0, bad_state):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n, e_kind, f_degree, e_degrees,
+                         tuple(d + 1 for d in branch_degrees))
+    # radius 1.3 makes the linear part unstable, so many runs diverge
+    model = replace(model, a=model.a * (radius / 0.8))
+    u = rng.normal(size=100)
+    x0 = 0.2 * rng.normal(size=n) if override_x0 else None
+    if bad_state is not None:
+        start = (model.x0 if x0 is None else x0).copy()
+        start[rng.integers(n)] = bad_state
+        model, x0 = (model, start) if override_x0 else (replace(model, x0=start), None)
+    res = simulate_pnlss(model, u, x0)
+    y, xs, diverged, index, finite = reference_simulate_pnlss(model, u, x0)
+    assert (res.diverged, res.divergence_index) == (diverged, index)
+    assert np.array_equal(res.y, y, equal_nan=not finite)
+    assert np.array_equal(res.x_traj, xs, equal_nan=not finite)
+
+
+def test_simulate_sums_left_to_right():
+    # v . z = 1e16 + 1 - 1e16 is 0 from left to right and 1 compensated
+    v = np.array([[1e16], [1.0], [-1e16]])
+    dec = DecoupledFunction(np.ones((2, 1)), v, (np.array([0.0, 1.0]),))
+    model = PnlssModel(a=np.zeros((2, 2)), b=np.zeros(2), c=np.ones(2), d=0.0, e_map=dec,
+                       f_map=None, x0=np.ones(2))
+    u = np.array([1.0, 0.0, 0.0])
+    res = simulate_pnlss(model, u)
+    assert np.array_equal(res.x_traj[1], [0.0, 0.0])
+    y, xs, diverged, index, finite = reference_simulate_pnlss(model, u)
+    assert finite and not diverged and not res.diverged
+    assert np.array_equal(res.y, y) and np.array_equal(res.x_traj, xs)
+
+
+@pytest.mark.parametrize("e_kind", ["poly", "decoupled"])
+def test_simulate_steps_on_python_floats(e_kind):
+    # a numpy scalar in the step would warn on the overflow and the NaN
+    # that follows; Python floats overflow to inf silently
+    rng = np.random.default_rng(17)
+    model = random_model(rng, 2, e_kind, f_degree=3, branch_lengths=(4, 6))
+    u = _spike(0.1 * rng.normal(size=50), 20, 1e120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = simulate_pnlss(model, u)
+    assert res.diverged and res.divergence_index == 20
+
+
+def test_simulate_ignores_an_overflowing_unused_monomial():
+    # E uses the cubes only: u^2 overflows at sample 20 but no row reads it.
+    # The old loop summed 0 * inf into the output and stopped at 20; the
+    # step stops at 21, where B u has carried the state past the limit.
+    basis = enumerate_monomials(2, 3, 3)
+    model = PnlssModel(a=[[0.5]], b=[1.0], c=[1.0], d=0.0,
+                       e_map=PolyMap(basis, np.full((1, len(basis)), 0.01)), f_map=None,
+                       x0=[0.0])
+    u = _spike(0.1 * np.ones(40), 20, 1e160)
+    res = simulate_pnlss(model, u)
+    assert res.diverged and res.divergence_index == 21
+    assert abs(res.y[20]) < 1.0 and np.all(res.y[21:] == res.y[20])
+    assert res.x_traj[21, 0] == np.inf
+    assert reference_simulate_pnlss(model, u)[3] == 20
+
+
+def test_simulate_compiles_rows_of_thousands_of_terms():
+    # a single expression this long overflows the compiler's recursion limit
+    rng = np.random.default_rng(19)
+    basis = enumerate_monomials(3, 2, 24)
+    assert len(basis) > 2900
+    model = PnlssModel(a=[[0.5, 0.1], [-0.2, 0.3]], b=[1.0, 0.5], c=[1.0, 0.2], d=0.1,
+                       e_map=PolyMap(basis, 1e-3 * rng.normal(size=(2, len(basis)))),
+                       f_map=None, x0=[0.0, 0.0])
+    u = 0.3 * rng.normal(size=20)
+    res = simulate_pnlss(model, u)
+    y, xs, diverged, _, finite = reference_simulate_pnlss(model, u)
+    assert finite and not diverged and not res.diverged
+    assert np.array_equal(res.y, y) and np.array_equal(res.x_traj, xs)
+
+
+def reference_state_sensitivities(a, e_x, direct, x0_offset, n):
+    """The plain sequential recursion the blocked one must agree with."""
+    t_len, _, n_theta = direct.shape
+    m_t = a[None, :, :] + e_x
+    jx = np.zeros((t_len, n, n_theta))
+    cur = np.zeros((n, n_theta))
+    cur[:, x0_offset : x0_offset + n] = np.eye(n)
+    for t in range(t_len):
+        jx[t] = cur
+        cur = m_t[t] @ cur + direct[t]
+    return jx
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("t_len", [1, SENS_BLOCK - 1, SENS_BLOCK, SENS_BLOCK + 1, 2048])
+def test_blocked_sensitivities_match_the_sequential_recursion(t_len, n):
+    rng = np.random.default_rng(10 * n + t_len)
+    a = rng.normal(size=(n, n))
+    a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
+    e_x = 0.05 * rng.normal(size=(t_len, n, n))
+    # a stretch where A + E_x(t) has spectral radius 1.3: J grows there
+    unstable = slice(t_len // 4, t_len // 4 + min(t_len, 60))
+    e_x[unstable] += (1.3 / 0.9 - 1.0) * a
+    n_theta = n * n + 2 * n + 1 + 7
+    direct = rng.normal(size=(t_len, n, n_theta))
+    ref = reference_state_sensitivities(a, e_x, direct, n_theta - n, n)
+    got = _state_sensitivities(a, e_x, direct, n_theta - n, n)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_init_linear_from_bla_exact_second_order():

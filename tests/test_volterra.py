@@ -284,6 +284,25 @@ def test_grid_search_identical_to_per_candidate_priors(degree, grid_points, seed
 
 
 @pytest.mark.parametrize("grid_points", [2, 3])
+def test_grid_search_at_degree_one_evaluates_each_first_order_pair_once(monkeypatch,
+                                                                       grid_points):
+    from nlsid import volterra
+
+    calls = []
+    original = volterra._marginal_loglik
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(volterra, "_marginal_loglik", counted)
+    fit_volterra(_wiener_record(0), m=4, degree=1,
+                 reg=RegularizerSpec(tuning="marginal_likelihood_grid", grid_points=grid_points))
+    # (scale_2, decay_2) does not enter a degree-1 penalty: g^2, not g^4
+    assert len(calls) == grid_points**2
+
+
+@pytest.mark.parametrize("grid_points", [2, 3])
 def test_grid_search_builds_each_prior_block_once_per_grid_pair(monkeypatch, grid_points):
     from nlsid import volterra
 
