@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 numeric failure, 4 divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -75,6 +76,12 @@ def _read_record(path) -> signals.SignalRecord:
         return read_signal_record(path)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"record {path} does not load: {exc}") from exc
+
+
+def _stage_record(config: dict, record: signals.SignalRecord | None) -> signals.SignalRecord:
+    """``record`` if the caller has already loaded the config's ``record``
+    file (the pipeline parses it once per pass), else that file, read now."""
+    return record if record is not None else _read_record(_require(config, "record"))
 
 
 def _load_config(path: str) -> dict:
@@ -213,11 +220,12 @@ def cmd_simulate(config: dict, out: Path, seed_override: int | None) -> None:
     write_signal_record(out / "record.csv", rec)
 
 
-def cmd_analyze(config: dict, out: Path, seed_override: int | None) -> None:
+def cmd_analyze(config: dict, out: Path, seed_override: int | None,
+                record: signals.SignalRecord | None = None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "record", "spec", "discard_periods",
                          "threshold_db", "smoothing_window"})
-    rec = _read_record(_require(config, "record"))
+    rec = _stage_record(config, record)
     spec = signals.MultisineSpec.from_dict(read_json(_require(config, "spec")))
     _require_odd_grid(spec.grid_kind, "analyze")
     stats = nonparam.sample_statistics(rec, int(config.get("discard_periods", 0)))
@@ -247,10 +255,12 @@ def cmd_analyze(config: dict, out: Path, seed_override: int | None) -> None:
     write_json(out / "analysis.json", summary)
 
 
-def cmd_bla(config: dict, out: Path, seed_override: int | None) -> None:
+def cmd_bla(config: dict, out: Path, seed_override: int | None,
+            records: list[signals.SignalRecord] | None = None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "records", "spec", "discard_periods"})
-    recs = [_read_record(p) for p in _require(config, "records", list)]
+    recs = records if records is not None else [
+        _read_record(p) for p in _require(config, "records", list)]
     spec = signals.MultisineSpec.from_dict(read_json(_require(config, "spec")))
     model = bla_mod.estimate_bla_spectral(recs, spec, int(config.get("discard_periods", 0)))
     write_json(out / "bla.json", model.to_dict())
@@ -259,17 +269,19 @@ def cmd_bla(config: dict, out: Path, seed_override: int | None) -> None:
                model.frf_variance_total, model.frf_variance_noise])
 
 
-def cmd_fit_narx(config: dict, out: Path, seed_override: int | None) -> None:
+def cmd_fit_narx(config: dict, out: Path, seed_override: int | None,
+                 record: signals.SignalRecord | None = None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "record", "na", "nb", "degree", "direct_term"})
-    rec = _read_record(_require(config, "record"))
+    rec = _stage_record(config, record)
     model = narx_mod.fit_narx(rec, int(_require(config, "na")), int(_require(config, "nb")),
                               int(_require(config, "degree")),
                               bool(config.get("direct_term", True)))
     write_json(out / "narx.json", model.to_dict())
 
 
-def cmd_fit_pnlss(config: dict, out: Path, seed_override: int | None) -> None:
+def cmd_fit_pnlss(config: dict, out: Path, seed_override: int | None,
+                  record: signals.SignalRecord | None = None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "record", "records", "spec", "state_dim",
                          "state_degree", "output_degree", "max_iterations", "lines"})
@@ -277,7 +289,7 @@ def cmd_fit_pnlss(config: dict, out: Path, seed_override: int | None) -> None:
     paths = config["records"] if "records" in config else [_require(config, "record")]
     if len(paths) != 1:
         raise ConfigError("fit-pnlss fits one record: give 'record' or one entry in 'records'")
-    rec = _read_record(paths[0])
+    rec = record if record is not None else _read_record(paths[0])
     model_bla = bla_mod.estimate_bla_spectral([rec], spec)
     lin, frf_rms = pnlss.init_linear_from_bla(model_bla, int(config.get("state_dim", 2)))
     lines = np.asarray(config.get("lines", list(spec.excited_lines)), dtype=int)
@@ -293,10 +305,11 @@ def cmd_fit_pnlss(config: dict, out: Path, seed_override: int | None) -> None:
     write_json(out / "pnlss_fit_report.json", report_dict)
 
 
-def cmd_fit_volterra(config: dict, out: Path, seed_override: int | None) -> None:
+def cmd_fit_volterra(config: dict, out: Path, seed_override: int | None,
+                     record: signals.SignalRecord | None = None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "record", "memory", "degree", "regularizer"})
-    rec = _read_record(_require(config, "record"))
+    rec = _stage_record(config, record)
     reg_cfg = config.get("regularizer", {})
     _check_keys(reg_cfg, {"scale_1", "decay_1", "corr_1", "scale_2", "decay_2",
                           "corr_2", "tuning", "grid_points", "grid_span"}, "regularizer")
@@ -397,10 +410,11 @@ def _simulate_model(model_cfg_path: str, rec: signals.SignalRecord):
     raise ConfigError(f"unrecognized model file format: {model_cfg_path}")
 
 
-def cmd_validate(config: dict, out: Path, seed_override: int | None) -> None:
+def cmd_validate(config: dict, out: Path, seed_override: int | None,
+                 record: signals.SignalRecord | None = None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "record", "model", "max_lag", "warmup"})
-    rec = _read_record(_require(config, "record"))
+    rec = _stage_record(config, record)
     y_sim, _ = _simulate_model(_require(config, "model"), rec)
     warmup = int(config.get("warmup", 0))
     max_lag = int(config.get("max_lag", 40))
@@ -422,7 +436,9 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
     Each stage writes into its own subdirectory; manifest.json records a hash
     per stage, which covers the previous stage's hash, so a resumed run
     re-executes a missing or changed stage and every stage after it.
-    The analysis stage emits the linear-vs-nonlinear verdict.
+    The stages after ``simulate`` share one parse of its record, made when
+    the first of them runs.  The analysis stage emits the
+    linear-vs-nonlinear verdict.
     """
     _check_schema(config)
     _check_keys(config, {"schema_version", "seed", "excitation", "system", "noise",
@@ -470,11 +486,12 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
     run_stage("simulate", sim_cfg, ["record.csv", "record.json"],
               lambda d: cmd_simulate(sim_cfg, d, None))
     record_path = str(out / "simulate" / "record.csv")
+    record = functools.cache(lambda: _read_record(record_path))
 
     analyze_cfg = {"schema_version": 1, "record": record_path, "spec": spec_path,
                    "threshold_db": config.get("threshold_db", 6.0)}
     run_stage("analyze", analyze_cfg, ["distortion.csv", "analysis.json"],
-              lambda d: cmd_analyze(analyze_cfg, d, None))
+              lambda d: cmd_analyze(analyze_cfg, d, None, record()))
 
     analysis = read_json(out / "analyze" / "analysis.json")
     headroom = max(analysis["even_median_excess_db"], analysis["odd_median_excess_db"])
@@ -485,7 +502,7 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
 
     bla_cfg = {"schema_version": 1, "records": [record_path], "spec": spec_path}
     run_stage("bla", bla_cfg, ["bla.json", "bla.csv"],
-              lambda d: cmd_bla(bla_cfg, d, None))
+              lambda d: cmd_bla(bla_cfg, d, None, [record()]))
 
     fit_cfg = dict(config.get("fit", {"type": "narx", "na": 2, "nb": 2, "degree": 3}))
     fit_type = fit_cfg.pop("type", "narx")
@@ -493,15 +510,15 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
     if fit_type == "narx":
         stage_cfg = {"schema_version": 1, "record": record_path, **fit_cfg}
         run_stage("fit", stage_cfg, [model_file[fit_type]],
-                  lambda d: cmd_fit_narx(stage_cfg, d, None))
+                  lambda d: cmd_fit_narx(stage_cfg, d, None, record()))
     elif fit_type == "pnlss":
         stage_cfg = {"schema_version": 1, "record": record_path, "spec": spec_path, **fit_cfg}
         run_stage("fit", stage_cfg, [model_file[fit_type]],
-                  lambda d: cmd_fit_pnlss(stage_cfg, d, None))
+                  lambda d: cmd_fit_pnlss(stage_cfg, d, None, record()))
     elif fit_type == "volterra":
         stage_cfg = {"schema_version": 1, "record": record_path, **fit_cfg}
         run_stage("fit", stage_cfg, [model_file[fit_type]],
-                  lambda d: cmd_fit_volterra(stage_cfg, d, None))
+                  lambda d: cmd_fit_volterra(stage_cfg, d, None, record()))
     else:
         raise ConfigError(f"unknown fit type '{fit_type}'")
 
@@ -510,7 +527,7 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
                     "max_lag": config.get("max_lag", 40),
                     "warmup": 64}
     run_stage("validate", validate_cfg, ["validation.json", "correlations.csv"],
-              lambda d: cmd_validate(validate_cfg, d, None))
+              lambda d: cmd_validate(validate_cfg, d, None, record()))
 
     validation = read_json(out / "validate" / "validation.json")
     write_json(out / "pipeline_summary.json", {

@@ -6,7 +6,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import isfinite
-from operator import mul
 
 import numpy as np
 
@@ -130,13 +129,6 @@ def fit_narx(rec: SignalRecord, na: int, nb: int, degree: int,
                      training_residual_rms=float(np.sqrt(np.mean(resid**2))))
 
 
-def equation_error_cost(model: NarxModel, rec: SignalRecord) -> float:
-    """Mean squared one-step equation error on a record."""
-    e = rec.output - predict_one_step(model, rec)
-    e = e[model.max_lag:]
-    return float(np.mean(e**2))
-
-
 def predict_one_step(model: NarxModel, rec: SignalRecord) -> np.ndarray:
     """One-step-ahead prediction using measured past outputs.
 
@@ -196,7 +188,9 @@ def simulate_free_run(model: NarxModel, u: np.ndarray,
         table = [1.0, *phi]
         for level in levels:
             table += [table[p] * phi[v] for p, v in level]
-        val = sum(map(mul, row, table))
+        val = 0.0  # left to right, as the PNLSS step: sum() compensates on 3.12
+        for c, m in zip(row, table):
+            val += c * m
         if not isfinite(val) or abs(val) > DIVERGENCE_LIMIT:
             y = np.array(y_sim)
             y[t:] = y[t - 1]

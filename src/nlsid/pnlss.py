@@ -23,7 +23,6 @@ from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .bla import BlaModel
 from .decouple import DecoupledFunction
@@ -302,6 +301,29 @@ def _reflect_unstable(den: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.real(np.poly(roots)), True
 
 
+def _tf2ss(num, den) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Controller canonical form ``(A, B, C, D)`` of ``num(z) / den(z)``
+    (descending powers, ``den[0]`` nonzero), built as scipy's ``tf2ss``
+    builds it: both polynomials are divided by ``den[0]``, and leading
+    numerator coefficients of magnitude at most 1e-14 are dropped (the last
+    one is kept)."""
+    den = np.asarray(den, dtype=float)
+    num = np.asarray(num, dtype=float) / den[0]
+    den = den / den[0]
+    significant = np.flatnonzero(~(np.abs(num) <= 1e-14))
+    num = num[significant[0] if len(significant) else len(num) - 1 :]
+    k = len(den)
+    if len(num) > k:
+        raise ValueError("improper transfer function: numerator longer than denominator")
+    num = np.concatenate([np.zeros(k - len(num)), num])
+    d = num[None, :1]
+    if k == 1:
+        return np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), d
+    a = np.vstack([-den[1:], np.eye(k - 2, k - 1)])
+    c = (num[1:] - num[0] * den[1:])[None, :]
+    return a, np.eye(k - 1, 1), c, d
+
+
 def init_linear_from_bla(bla: BlaModel, state_dim: int) -> tuple[PnlssModel, float]:
     """Linear state-space initialization from the nonparametric BLA.
 
@@ -331,10 +353,8 @@ def init_linear_from_bla(bla: BlaModel, state_dim: int) -> tuple[PnlssModel, flo
         m = np.concatenate([powers.real, powers.imag], axis=0)
         v = np.concatenate([target.real, target.imag])
         num, *_ = np.linalg.lstsq(m, v, rcond=None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sp_signal.BadCoefficients)
-        a, b, c, d = sp_signal.tf2ss(num, den)
-    model = PnlssModel(a=a, b=b.ravel(), c=c.ravel(), d=float(np.atleast_1d(d).ravel()[0]),
+    a, b, c, d = _tf2ss(num, den)
+    model = PnlssModel(a=a, b=b.ravel(), c=c.ravel(), d=float(d[0, 0]),
                        e_map=None, f_map=None, x0=np.zeros(state_dim))
     frf_fit = model.frf(omega)
     frf_rms = float(np.linalg.norm(frf_fit - g) / max(np.linalg.norm(g), 1e-300))

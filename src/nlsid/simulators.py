@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import isfinite, sqrt
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .signals import SignalRecord
 
@@ -291,7 +290,29 @@ class LinearBlock:
             raise ValueError(f"unstable filter: pole magnitude {np.max(np.abs(poles)):.4f} >= 1")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return sp_signal.lfilter(self.b, self.a, x)
+        """Filter ``x`` from a zero initial state with the arithmetic of
+        scipy's ``lfilter``: an FIR block (one ``a`` coefficient)
+        convolves ``b / a[0]``; any other block runs the transposed direct
+        form II recursion on Python floats, after dividing by ``a[0]`` and
+        zero-padding ``a`` and ``b`` to one length."""
+        x = np.asarray(x, dtype=float)
+        a0 = float(self.a[0])
+        if len(self.a) == 1:
+            return np.convolve(np.asarray(self.b, dtype=float) / a0, x)[: len(x)]
+        k = max(len(self.a), len(self.b))
+        b = [float(v) / a0 for v in self.b] + [0.0] * (k - len(self.b))
+        a = [float(v) / a0 for v in self.a] + [0.0] * (k - len(self.a))
+        b0, b_last, a_last = b[0], b[-1], a[-1]
+        middle = list(enumerate(zip(b[1:-1], a[1:-1])))
+        z = [0.0] * (k - 1)
+        y = []
+        for xn in x.tolist():
+            yn = z[0] + b0 * xn
+            for i, (bi, ai) in middle:
+                z[i] = z[i + 1] + xn * bi - yn * ai
+            z[-1] = xn * b_last - yn * a_last
+            y.append(yn)
+        return np.array(y)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlsid
 from nlsid.cli import main
 from nlsid.serialize import read_json, read_signal_record, write_signal_record
 from nlsid.signals import SignalRecord
@@ -417,6 +421,31 @@ def test_pipeline_rerun_byte_identical_reports(tmp_path):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
 
 
+def test_pipeline_parses_the_record_once_per_pass(tmp_path, monkeypatch):
+    reads = []
+
+    def counted(path):
+        reads.append(Path(path).name)
+        return read_signal_record(path)
+
+    monkeypatch.setattr(nlsid.cli, "read_signal_record", counted)
+    cfg = write_config(tmp_path, "pipe.json", PIPE_CFG)
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "--config", cfg, "--out", str(out)) == 0
+    assert reads == ["record.csv"]
+    # nothing to rerun: no stage needs the record
+    reads.clear()
+    assert run_cli("pipeline", "--config", cfg, "--out", str(out), "--resume") == 0
+    assert reads == []
+    # a changed fit reruns fit and validate on one parse
+    summary = (out / "pipeline_summary.json").read_bytes()
+    changed = write_config(tmp_path, "changed.json",
+                           dict(PIPE_CFG, fit={"type": "narx", "na": 1, "nb": 2, "degree": 1}))
+    assert run_cli("pipeline", "--config", changed, "--out", str(out), "--resume") == 0
+    assert reads == ["record.csv"]
+    assert (out / "pipeline_summary.json").read_bytes() != summary
+
+
 def test_pipeline_full_grid_exit_2_before_any_stage(tmp_path, capsys):
     cfg_dict = dict(PIPE_CFG, excitation=dict(PIPE_CFG["excitation"], grid_kind="full"))
     cfg = write_config(tmp_path, "pipe.json", cfg_dict)
@@ -469,3 +498,16 @@ def test_malformed_record_body_exit_2(tmp_path, capsys, body, message):
     assert run_cli("fit-narx", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert "does not load" in err and message in err
+
+
+@pytest.mark.parametrize("module", ["nlsid", "nlsid.cli"])
+def test_import_leaves_scipy_signal_out(module):
+    # every CLI command is its own process, so the import is paid per step
+    src = str(Path(nlsid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (f"import sys, {module}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'signal']))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -9,11 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
+from nlsid import pnlss
 from nlsid.bla import estimate_bla_spectral
 from nlsid.decouple import DecoupledFunction, eval_decoupled
 from nlsid.polybasis import MonomialPlan, PolyMap, enumerate_monomials, eval_monomials
-from nlsid.pnlss import (SENS_BLOCK, FitReport, PnlssModel, _state_sensitivities, fit_pnlss,
-                         fit_pnlss_decoupled, init_linear_from_bla, simulate_pnlss,
+from nlsid.pnlss import (SENS_BLOCK, FitReport, PnlssModel, _state_sensitivities, _tf2ss,
+                         fit_pnlss, fit_pnlss_decoupled, init_linear_from_bla, simulate_pnlss,
                          single_branch_init, state_coverage)
 from nlsid.serialize import read_json
 from nlsid.signals import (SignalRecord, design_multisine, flat_amplitude_spec,
@@ -447,6 +448,48 @@ def test_init_linear_overmodelled_extra_modes_cancel():
     assert len(extra) == 2
     for p in extra:
         assert np.min(np.abs(zeros - p)) < 1e-3
+
+
+def scipy_tf2ss(num, den):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sp_signal.BadCoefficients)
+        return sp_signal.tf2ss(num, den)
+
+
+def assert_same_state_space(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == np.asarray(w, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(order=st.integers(0, 5), num_len=st.integers(1, 6),
+       lead=st.sampled_from([None, 0.0, 1e-15, -1e-14, 2e-14]),
+       den0=st.sampled_from([1.0, 2.0, -0.25, 7.5]), seed=st.integers(0, 2**32 - 1))
+@example(order=2, num_len=3, lead=1e-15, den0=2.0, seed=0)  # dropped lead, den[0] != 1
+def test_tf2ss_is_scipy_bit_for_bit(order, num_len, lead, den0, seed):
+    rng = np.random.default_rng(seed)
+    den = np.concatenate([[den0], rng.normal(size=order)])
+    num = rng.normal(size=min(num_len, order + 1))
+    if lead is not None:
+        num[0] = lead
+    assert_same_state_space(_tf2ss(num, den), scipy_tf2ss(num, den))
+
+
+def test_init_linear_from_bla_is_the_scipy_path_on_criterion_5_bla(monkeypatch):
+    # the criterion-5 acceptance fixture's BLA: four steady-state Duffing records
+    fs, n = 512.0, 1024
+    params = default_duffing(fs, hardening=0.1)
+    spec = flat_amplitude_spec(n, fs, full_grid(n, 150), rms=0.1)
+    recs = [steady_state_record(
+        lambda u, fs: simulate_duffing(params, u, fs, NoiseSpec(measurement_std=3.2e-4, seed=m)),
+        design_multisine(random_phases(spec, m)), fs, 2, 2) for m in range(4)]
+    bla = estimate_bla_spectral(recs, spec)
+    got, got_rms = init_linear_from_bla(bla, 2)
+    monkeypatch.setattr(pnlss, "_tf2ss", scipy_tf2ss)
+    want, want_rms = init_linear_from_bla(bla, 2)
+    for name in ("a", "b", "c", "x0"):
+        assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
+    assert got.d == want.d and got_rms == want_rms
 
 
 def test_init_linear_needs_enough_lines():

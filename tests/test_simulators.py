@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from nlsid.signals import (SignalRecord, design_multisine, flat_amplitude_spec, odd_grid,
@@ -311,6 +313,36 @@ def test_block_identity_nonlinearity_is_pure_filter():
     u = np.random.default_rng(4).normal(size=200)
     rec = simulate_block_oriented(spec, u)
     assert np.allclose(rec.output, sp_signal.lfilter([0.2, 0.3], [1.0, -0.5], u), atol=1e-12)
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def stable_denominator(radii, angles, real_poles, a0):
+    """``a0`` times the monic polynomial with poles ``r e^{+-i theta}`` and
+    ``real_poles``."""
+    poles = [r * np.exp(s * 1j * t) for r, t in zip(radii, angles) for s in (1, -1)]
+    return tuple(a0 * np.atleast_1d(np.real(np.poly(poles + list(real_poles)))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pairs=st.integers(0, 2), real_poles=st.lists(st.floats(-0.95, 0.95), max_size=2),
+       a0=st.sampled_from([1.0, 2.0, -0.5, 3.7, 1e-3]), num_b=st.integers(1, 6),
+       length=st.integers(1, 400), scale=st.sampled_from([1e-3, 1.0, 1e4]),
+       seed=st.integers(0, 2**32 - 1))
+@example(pairs=0, real_poles=[], a0=1.0, num_b=5, length=300, scale=1.0, seed=8)  # FIR
+@example(pairs=0, real_poles=[], a0=2.0, num_b=5, length=300, scale=1.0, seed=8)  # FIR
+@example(pairs=1, real_poles=[-0.5], a0=1.5, num_b=4, length=100_000, scale=1.0,
+         seed=9)  # a long record
+def test_linear_block_is_lfilter_bit_for_bit(pairs, real_poles, a0, num_b, length, scale,
+                                             seed):
+    rng = np.random.default_rng(seed)
+    a = stable_denominator(rng.uniform(0.0, 0.95, pairs), rng.uniform(0.0, np.pi, pairs),
+                           real_poles, a0)
+    b = tuple(rng.normal(size=num_b))
+    x = scale * rng.normal(size=length)
+    assert same_bits(LinearBlock(b, a).apply(x), sp_signal.lfilter(b, a, x))
 
 
 def test_hammerstein_square_then_delay():
