@@ -506,24 +506,19 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
 
     fit_cfg = dict(config.get("fit", {"type": "narx", "na": 2, "nb": 2, "degree": 3}))
     fit_type = fit_cfg.pop("type", "narx")
-    model_file = {"narx": "narx.json", "pnlss": "pnlss.json", "volterra": "volterra.json"}
-    if fit_type == "narx":
-        stage_cfg = {"schema_version": 1, "record": record_path, **fit_cfg}
-        run_stage("fit", stage_cfg, [model_file[fit_type]],
-                  lambda d: cmd_fit_narx(stage_cfg, d, None, record()))
-    elif fit_type == "pnlss":
-        stage_cfg = {"schema_version": 1, "record": record_path, "spec": spec_path, **fit_cfg}
-        run_stage("fit", stage_cfg, [model_file[fit_type]],
-                  lambda d: cmd_fit_pnlss(stage_cfg, d, None, record()))
-    elif fit_type == "volterra":
-        stage_cfg = {"schema_version": 1, "record": record_path, **fit_cfg}
-        run_stage("fit", stage_cfg, [model_file[fit_type]],
-                  lambda d: cmd_fit_volterra(stage_cfg, d, None, record()))
-    else:
+    # command, model file and the stage keys beyond schema_version and record
+    fits = {"narx": (cmd_fit_narx, "narx.json", {}),
+            "pnlss": (cmd_fit_pnlss, "pnlss.json", {"spec": spec_path}),
+            "volterra": (cmd_fit_volterra, "volterra.json", {})}
+    if not isinstance(fit_type, str) or fit_type not in fits:
         raise ConfigError(f"unknown fit type '{fit_type}'")
+    fit_cmd, model_file, extra = fits[fit_type]
+    stage_cfg = {"schema_version": 1, "record": record_path, **extra, **fit_cfg}
+    run_stage("fit", stage_cfg, [model_file],
+              lambda d: fit_cmd(stage_cfg, d, None, record()))
 
     validate_cfg = {"schema_version": 1, "record": record_path,
-                    "model": str(out / "fit" / model_file[fit_type]),
+                    "model": str(out / "fit" / model_file),
                     "max_lag": config.get("max_lag", 40),
                     "warmup": 64}
     run_stage("validate", validate_cfg, ["validation.json", "correlations.csv"],

@@ -159,8 +159,9 @@ def simulate_free_run(model: NarxModel, u: np.ndarray,
                       y_init: np.ndarray) -> FreeRunResult:
     """Recursive simulation feeding predicted outputs back into the regressors.
 
-    Divergence (|y| > 1e6) truncates the run: remaining samples hold the last
-    finite value and the status records the index.  This is a status, not an
+    Divergence (a non-finite output or one beyond ``DIVERGENCE_LIMIT`` in
+    magnitude) truncates the run: remaining samples hold the last finite
+    value and the status records the index.  This is a status, not an
     exception, since unstable free runs are an expected failure mode of
     equation-error models.
     """

@@ -20,7 +20,7 @@ import functools
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -374,7 +374,6 @@ class FitReport:
     final_error_per_line: np.ndarray
     iterations: int
     status: str
-    train_states: np.ndarray = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
         return {
@@ -588,7 +587,6 @@ def _fit(model: PnlssModel, rec: SignalRecord, lines, weights,
         final_error_per_line=np.abs(y_f - np.fft.rfft(sim.y)[bins]) / sqrt_w,
         iterations=iters,
         status=status,
-        train_states=sim.x_traj,
     )
 
 
@@ -715,10 +713,3 @@ def _direction_scorer(z: np.ndarray, e_vals: np.ndarray, degree: int):
 
     return score
 
-
-def state_coverage(report: FitReport, sim: PnlssSimResult,
-                   radius_quantile: float = 0.99):
-    """Extrapolation check of a simulation against the fit's state domain."""
-    from .validate import domain_coverage
-
-    return domain_coverage(report.train_states, sim.x_traj, radius_quantile)

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import linalg as sp_linalg
 
 
 @dataclass(frozen=True)
@@ -187,26 +186,22 @@ def fit_volterra(rec, m: int, degree: int = 2,
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2 (higher kernels are out of scope)")
     reg = reg or RegularizerSpec()
-    u = rec.input
-    y = rec.output
-    k, t = _regression_matrix(u, m, degree)
-    target = y[t]
-    n_par = k.shape[1]
-    if len(target) < 5 * _effective_params(m, degree):
+    k, t = _regression_matrix(rec.input, m, degree)
+    y = rec.output[t]
+    n, n_par = k.shape
+    if n < 5 * n_par:
         warnings.warn(
-            f"{len(target)} samples for {n_par} parameters is short even with "
+            f"{n} samples for {n_par} parameters is short even with "
             "regularization", stacklevel=2,
         )
+    ktk = k.T @ k
+    kty = k.T @ y
     if reg.tuning == "fixed":
-        theta, _, sigma2 = _solve_ridge(k, target, reg, m, degree)
-        hyper = _hyper_dict(reg)
+        pen, hyper = _penalty_matrix(reg, m, degree), _hyper_dict(reg)
     else:
-        theta, hyper, sigma2 = _grid_search(k, target, reg, m, degree)
+        pen, hyper = _grid_search(k, y, ktk, kty, reg, m, degree)
+    theta = np.linalg.solve(ktk / n + pen, kty / n)
     return _model_from_theta(theta, m, degree, hyper)
-
-
-def _effective_params(m: int, degree: int) -> int:
-    return 1 + m + (m * (m + 1) // 2 if degree >= 2 else 0)
 
 
 def _prior_blocks(reg: RegularizerSpec, m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -230,17 +225,6 @@ def _penalty_matrix(reg: RegularizerSpec, m: int, degree: int) -> np.ndarray:
     return _assemble_penalty(*_prior_blocks(reg, m, degree), m)
 
 
-def _solve_ridge(k: np.ndarray, y: np.ndarray, reg: RegularizerSpec, m: int,
-                 degree: int) -> tuple[np.ndarray, np.ndarray, float]:
-    n = len(y)
-    pen = _penalty_matrix(reg, m, degree)
-    gram = k.T @ k / n + pen
-    theta = sp_linalg.solve(gram, k.T @ y / n, assume_a="pos")
-    resid = y - k @ theta
-    dof = max(n - k.shape[1], 1)
-    return theta, pen, float(resid @ resid / dof)
-
-
 def _marginal_loglik(k: np.ndarray, y: np.ndarray, ktk: np.ndarray, kty: np.ndarray,
                      yy: float, pen: np.ndarray, sigma2: float) -> float:
     """Gaussian evidence of y = K theta + e, theta ~ N(0, pen^-1), e ~ N(0, sigma2 I).
@@ -259,10 +243,10 @@ def _marginal_loglik(k: np.ndarray, y: np.ndarray, ktk: np.ndarray, kty: np.ndar
     pen = pen.copy()
     pen[0, 0] = max(pen[0, 0], 1e-8)
     a = pen * sigma2 + ktk  # sigma2 * (pen + K^T K / sigma2)
-    cho = sp_linalg.cho_factor(a)
-    alpha = sp_linalg.cho_solve(cho, kty)
+    chol = np.linalg.cholesky(a)  # raises LinAlgError unless a is positive definite
+    alpha = np.linalg.solve(a, kty)
     quad = (yy - y @ (k @ alpha)) / sigma2
-    logdet_a = 2.0 * np.sum(np.log(np.diag(cho[0])))
+    logdet_a = 2.0 * np.sum(np.log(np.diag(chol)))
     sign, logdet_pen = np.linalg.slogdet(pen)
     if sign <= 0:
         return -np.inf
@@ -271,30 +255,29 @@ def _marginal_loglik(k: np.ndarray, y: np.ndarray, ktk: np.ndarray, kty: np.ndar
     return float(-0.5 * (quad + logdet + n * np.log(2.0 * np.pi)))
 
 
-def _grid_search(k: np.ndarray, y: np.ndarray, reg: RegularizerSpec, m: int,
-                 degree: int) -> tuple[np.ndarray, dict, float]:
+def _grid_search(k: np.ndarray, y: np.ndarray, ktk: np.ndarray, kty: np.ndarray,
+                 reg: RegularizerSpec, m: int, degree: int) -> tuple[np.ndarray, dict]:
     """Pick ``(scale_1, decay_1, scale_2, decay_2)`` on a g x g x g x g grid by
-    marginal likelihood, the first maximum in grid order.
+    marginal likelihood, the first maximum in grid order; return the winner's
+    penalty and hyperparameters.
 
     A candidate's penalty is ``blockdiag(0, P1^-1, S^T P2^-1 S)``, where the
     P1 block depends only on ``(scale_1, decay_1)`` and the P2 block only on
     ``(scale_2, decay_2)``.  So the g^2 blocks of each kind are built once
     (one :func:`build_prior` per grid pair gives both: g^2 + g^2 blocks,
-    against 2 g^4 when each candidate builds its own prior), ``K^T K``,
-    ``K^T y`` and ``y^T y`` are formed once, and each of the g^4 candidates
-    only assembles its two blocks and evaluates the evidence.  At degree 1
-    the penalty has no P2 block, so only the g^2 candidates with the first
-    ``(scale_2, decay_2)`` pair are evaluated: the others tie with them and
-    the first of equal maxima wins.
+    against 2 g^4 when each candidate builds its own prior), ``y^T y`` is
+    formed once, and each of the g^4 candidates only assembles its two
+    blocks and evaluates the evidence.  At degree 1 the penalty has no P2
+    block, so only the g^2 candidates with the first ``(scale_2, decay_2)``
+    pair are evaluated: the others tie with them and the first of equal
+    maxima wins.
     """
     from dataclasses import replace
 
     n = len(y)
-    ktk = k.T @ k
-    kty = k.T @ y
     yy = y @ y
     # noise level from a lightly regularized pilot fit
-    pilot = sp_linalg.solve(ktk / n + 1e-6 * np.eye(k.shape[1]), kty / n)
+    pilot = np.linalg.solve(ktk / n + 1e-6 * np.eye(k.shape[1]), kty / n)
     sigma2 = float(np.mean((y - k @ pilot) ** 2))
     sigma2 = max(sigma2, 1e-12 * float(np.mean(y**2)) + 1e-300)
     g = reg.grid_points
@@ -316,11 +299,10 @@ def _grid_search(k: np.ndarray, y: np.ndarray, reg: RegularizerSpec, m: int,
     (s1, d1), (s2, d2) = pairs[i], pairs[j]
     cand = replace(reg, scale_1=reg.scale_1 * s1, decay_1=d1,
                    scale_2=reg.scale_2 * s2, decay_2=d2)
-    theta = sp_linalg.solve(ktk / n + pen, kty / n, assume_a="pos")
     hyper = _hyper_dict(cand)
     hyper["marginal_loglik"] = ll
     hyper["noise_variance"] = sigma2
-    return theta, hyper, sigma2
+    return pen, hyper
 
 
 def _hyper_dict(reg: RegularizerSpec) -> dict:

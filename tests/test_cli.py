@@ -500,14 +500,46 @@ def test_malformed_record_body_exit_2(tmp_path, capsys, body, message):
     assert "does not load" in err and message in err
 
 
-@pytest.mark.parametrize("module", ["nlsid", "nlsid.cli"])
-def test_import_leaves_scipy_signal_out(module):
-    # every CLI command is its own process, so the import is paid per step
+def _src_env():
     src = str(Path(nlsid.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.mark.parametrize("module", ["nlsid", "nlsid.cli"])
+def test_import_leaves_scipy_out(module):
+    # every CLI command is its own process, so the import is paid per step
     code = (f"import sys, {module}\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'signal']))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    # a None entry in sys.modules makes any later `import scipy` raise, also
+    # one made lazily inside a function
+    fits = {
+        "narx": {"type": "narx", "na": 1, "nb": 1, "degree": 3},
+        "volterra": {"type": "volterra", "memory": 4, "degree": 2,
+                     "regularizer": {"tuning": "marginal_likelihood_grid", "grid_points": 2}},
+        "pnlss": {"type": "pnlss", "state_dim": 2, "state_degree": 3, "max_iterations": 3},
+    }
+    runs = []
+    for name, fit in fits.items():
+        cfg = write_config(tmp_path, f"{name}.json", dict(README_PIPE_CFG, fit=fit))
+        runs.append(["pipeline", "--config", cfg, "--out", str(tmp_path / name)])
+    dec = write_config(tmp_path, "dec.json", {
+        "schema_version": 1, "pnlss": str(tmp_path / "pnlss" / "fit" / "pnlss.json"),
+        "record": str(tmp_path / "pnlss" / "simulate" / "record.csv"),
+        "r": 1, "seed": 0, "num_points": 200})
+    runs.append(["decouple", "--config", dec, "--out", str(tmp_path / "dec")])
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from nlsid.cli import main\n"
+            f"print([main(argv) for argv in {runs!r}])")
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0, 0, 0]", done.stderr
+    assert (tmp_path / "dec" / "decoupled.json").exists()

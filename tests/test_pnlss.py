@@ -15,7 +15,7 @@ from nlsid.decouple import DecoupledFunction, eval_decoupled
 from nlsid.polybasis import MonomialPlan, PolyMap, enumerate_monomials, eval_monomials
 from nlsid.pnlss import (SENS_BLOCK, FitReport, PnlssModel, _state_sensitivities, _tf2ss,
                          fit_pnlss, fit_pnlss_decoupled, init_linear_from_bla, simulate_pnlss,
-                         single_branch_init, state_coverage)
+                         single_branch_init)
 from nlsid.serialize import read_json
 from nlsid.signals import (SignalRecord, design_multisine, flat_amplitude_spec,
                            full_grid, random_phases, tile_periods)
@@ -822,21 +822,6 @@ def test_single_branch_init_needs_a_power_block():
     z = np.random.default_rng(2).normal(size=(50, 3))
     with pytest.raises(ValueError, match="branch_degree"):
         single_branch_init(model, z, branch_degree=1)
-
-
-def test_state_coverage_flags_larger_inputs():
-    truth = cubic_feedback_model()
-    u = tile_periods(design_multisine(random_phases(
-        flat_amplitude_spec(256, 1.0, full_grid(256, 60), rms=0.6), 12)), 1)
-    rec = SignalRecord(1.0, 256, 1, u, simulate_pnlss(truth, u).y)
-    lin = replace(truth, e_map=None)
-    fitted, report = fit_pnlss(lin, rec, np.arange(1, 80), state_degree=3,
-                               max_iterations=30)
-    same = state_coverage(report, simulate_pnlss(fitted, u))
-    assert not same.extrapolation_flag
-    wide = simulate_pnlss(fitted, 3.0 * u)
-    cov = state_coverage(report, wide)
-    assert cov.extrapolation_flag
 
 
 FS = 200.0

@@ -213,17 +213,16 @@ def reference_grid_search(k, y, reg, m, degree):
     from dataclasses import replace
 
     from nlsid.volterra import _hyper_dict, _penalty_matrix
-    from scipy import linalg as sp_linalg
 
     def loglik(pen, sigma2):
         n, p = k.shape
         pen = pen.copy()
         pen[0, 0] = max(pen[0, 0], 1e-8)
         a = pen * sigma2 + k.T @ k
-        cho = sp_linalg.cho_factor(a)
-        alpha = sp_linalg.cho_solve(cho, k.T @ y)
+        cho = np.linalg.cholesky(a)
+        alpha = np.linalg.solve(a, k.T @ y)
         quad = (y @ y - y @ (k @ alpha)) / sigma2
-        logdet_a = 2.0 * np.sum(np.log(np.diag(cho[0])))
+        logdet_a = 2.0 * np.sum(np.log(np.diag(cho)))
         sign, logdet_pen = np.linalg.slogdet(pen)
         if sign <= 0:
             return -np.inf
@@ -231,7 +230,7 @@ def reference_grid_search(k, y, reg, m, degree):
         return float(-0.5 * (quad + logdet + n * np.log(2.0 * np.pi)))
 
     n = len(y)
-    pilot = sp_linalg.solve(k.T @ k / n + 1e-6 * np.eye(k.shape[1]), k.T @ y / n)
+    pilot = np.linalg.solve(k.T @ k / n + 1e-6 * np.eye(k.shape[1]), k.T @ y / n)
     sigma2 = float(np.mean((y - k @ pilot) ** 2))
     sigma2 = max(sigma2, 1e-12 * float(np.mean(y**2)) + 1e-300)
     g = reg.grid_points
@@ -249,7 +248,7 @@ def reference_grid_search(k, y, reg, m, degree):
                     if ll > best[0]:
                         best = (ll, cand, pen)
     _, cand, pen = best
-    theta = sp_linalg.solve(k.T @ k / n + pen, k.T @ y / n, assume_a="pos")
+    theta = np.linalg.solve(k.T @ k / n + pen, k.T @ y / n)
     hyper = _hyper_dict(cand)
     hyper["marginal_loglik"] = best[0]
     hyper["noise_variance"] = sigma2
