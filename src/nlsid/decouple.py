@@ -4,11 +4,11 @@ A coupled polynomial map ``q = f(p)`` is rewritten as ``q = W g(V^T p)`` with
 ``r`` univariate polynomial branches ``g_i``.  The construction samples the
 Jacobian of ``f`` on a point cloud, stacks the evaluations into a three-way
 tensor, and computes a canonical polyadic decomposition by alternating least
-squares, in one run from a HOSVD start; the first two factor modes deliver W
-and V, the branches follow from a linear fit, and a short joint
-Levenberg-Marquardt polish finishes the start.  The exact and the approximate
-(reduced-rank) decouplings share that start; the approximate one refines all
-factors jointly on weighted function residuals, from a few seeded starts.
+squares, in one run from a HOSVD start; its first two factor modes give W
+and V, a linear least-squares fit gives the branches.  The exact and the
+approximate (reduced-rank) decouplings share that start and fit all factors
+jointly by Levenberg-Marquardt, the approximate one on weighted function
+residuals, from a few seeded starts.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class DecoupledFunction:
         branch slopes ``g'(x)`` (T, r)."""
         cf = self._coefficient_matrix()
         x = self._branch_inputs(p)
-        powers = np.stack([x**j for j in range(cf.shape[1])], axis=2)
+        powers = np.cumprod(np.stack([np.ones_like(x)] + [x] * (cf.shape[1] - 1), axis=2), axis=2)
         dg = np.zeros_like(x)
         for j in range(1, cf.shape[1]):
             dg += j * cf[:, j][None, :] * powers[:, :, j - 1]
@@ -208,6 +208,7 @@ CPD_WINDOW = 100        # sweeps over which a plateau is measured ...
 CPD_PLATEAU = 1e-3      # ... and the share of the error it must fall by there
 CLOUD_DOMAIN = (-1.0, 1.0)  # every variable's range in a sampled point cloud
 BRANCH_REL_TOL = 1e-6   # a branch coefficient counts above this share of the largest
+START_ITERATIONS = 30   # LM iterations that fit a start on its own cloud
 
 
 def cpd_als(tensor: np.ndarray, rank: int, seed: int = 0) -> CpdResult:
@@ -247,18 +248,22 @@ def cpd_als(tensor: np.ndarray, rank: int, seed: int = 0) -> CpdResult:
         factors.append(np.concatenate(
             [u_sv[:, :take], 0.1 * rng.standard_normal((tensor.shape[mode], rank - take))],
             axis=1))
+    # each factor's Gram matrix is formed once per update of that factor
+    grams = [m.T @ m for m in factors]
+    eye = np.eye(rank)
     errors = []
     prev = np.inf
     stop = "cap"
     for sweep in range(CPD_MAX_SWEEPS):
         for mode in range(3):
-            others = [factors[m] for m in range(3) if m != mode]
-            kr = _khatri_rao(others[0], others[1])
-            gram = (others[0].T @ others[0]) * (others[1].T @ others[1])
+            a, b = (m for m in range(3) if m != mode)
+            kr = _khatri_rao(factors[a], factors[b])
+            gram = grams[a] * grams[b]
             rhs = unfoldings[mode] @ kr
             factors[mode] = np.linalg.solve(
-                gram + 1e-14 * np.eye(rank) * max(np.trace(gram), 1.0), rhs.T
+                gram + 1e-14 * eye * max(np.trace(gram), 1.0), rhs.T
             ).T
+            grams[mode] = factors[mode].T @ factors[mode]
         err = _cpd_error(unfoldings[0], factors, norm)
         errors.append(err)
         if prev - err < CPD_REL_TOL * max(prev, 1e-300):
@@ -359,8 +364,8 @@ def decouple_exact(f: PolyMap, r: int, num_points: int = 500, seed: int = 0,
     Evaluates the Jacobian of ``f`` at ``num_points`` seeded random points,
     stacks the matrices into an ``n_q x n_p x T`` tensor, reads W and V off
     its rank-r CPD (one ALS run, :func:`cpd_als`), fits the univariate
-    branches by least squares on the function values, and polishes all
-    factors by a short joint Levenberg-Marquardt run.
+    branches by least squares on the function values, and fits all factors
+    jointly from there by one 30-iteration Levenberg-Marquardt run.
 
     The cloud is uniform in the box ``CLOUD_DOMAIN``; alternatively
     ``points`` supplies the cloud directly, e.g. states visited by a model, so
@@ -371,7 +376,9 @@ def decouple_exact(f: PolyMap, r: int, num_points: int = 500, seed: int = 0,
     stagnation is reported through ``converged=False``, never raised.
     """
     pts = _cloud(seed, num_points, f.n_vars, points)
-    func, cpd = _initial_decoupling(f, r, branch_degree, pts, seed)
+    f_vals = eval_polymap(f, pts)
+    start, cpd = _initial_decoupling(f, r, branch_degree, pts, f_vals, seed)
+    _, func = _lm_refine(start, pts, f_vals, np.ones(f.n_outputs), START_ITERATIONS)
     test = _cloud(seed + 1, max(num_points, 256), f.n_vars, points)
     return _result(f, func, cpd, test, np.ones(f.n_outputs))
 
@@ -382,12 +389,14 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
                     restarts: int = 2, points: np.ndarray | None = None) -> DecoupleResult:
     """Approximate rank-r decoupling with joint Levenberg-Marquardt refinement.
 
-    Each of ``restarts + 1`` attempts builds the start of
+    Each of ``restarts + 1`` attempts builds the CPD start of
     :func:`decouple_exact` on the positively weighted outputs, over its own
     cloud of seed ``seed + 101 * attempt``, then refines W, V and the branch
     coefficients together on weighted function residuals over the cloud of
-    ``seed`` (or caller-supplied ``points``).  The attempt with the lowest
-    cost wins; divergence inside LM just returns the best iterate.
+    ``seed`` (or caller-supplied ``points``), the cloud of attempt 0; a
+    restart first fits its start as :func:`decouple_exact` does, on its own
+    cloud.  The attempt with the lowest cost wins; divergence inside LM just
+    returns the best iterate.
     The reported residuals use a held-out cloud.  ``weight`` is per-output; a
     zero weight removes that output from the objective exactly.
     ``converged`` and the ``cpd_*`` fields are those of the CPD that started the
@@ -408,8 +417,11 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
     best: tuple[float, DecoupledFunction, CpdResult] | None = None
     for attempt in range(restarts + 1):
         s = seed + 101 * attempt
-        init, cpd = _initial_decoupling(f_active, r, branch_degree,
-                                        _cloud(s, num_points, f.n_vars, points), s)
+        cloud = _cloud(s, num_points, f.n_vars, points)
+        vals = eval_polymap(f_active, cloud)
+        init, cpd = _initial_decoupling(f_active, r, branch_degree, cloud, vals, s)
+        if attempt:
+            _, init = _lm_refine(init, cloud, vals, np.ones(len(active)), START_ITERATIONS)
         w_full = np.zeros((f.n_outputs, r))
         w_full[active] = init.w
         start = DecoupledFunction(w_full, init.v, init.branches)
@@ -422,10 +434,10 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
 
 
 def _initial_decoupling(f: PolyMap, r: int, degree: int | None, pts: np.ndarray,
-                        seed: int) -> tuple[DecoupledFunction, CpdResult]:
-    """Rank-r start on ``pts``: W and V from the CPD of the stacked Jacobians
-    of ``f``, branches of ``degree`` (default that of ``f``) by alternating
-    least squares, then a 30-iteration joint LM polish."""
+                        f_vals: np.ndarray, seed: int) -> tuple[DecoupledFunction, CpdResult]:
+    """Rank-r start on ``pts``, where ``f`` has the values ``f_vals``: unit-norm
+    W and V from the CPD of the stacked Jacobians of ``f``, and branches of
+    ``degree`` (default that of ``f``) by least squares."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if f.basis.degree_max < 1:
@@ -435,26 +447,12 @@ def _initial_decoupling(f: PolyMap, r: int, degree: int | None, pts: np.ndarray,
     cpd = cpd_als(tensor, r, seed=seed)
     # unit-norm directions; scales are re-estimated by the branch fit
     w, v = (m / np.maximum(np.linalg.norm(m, axis=0), 1e-300) for m in cpd.factors[:2])
-    f_vals = eval_polymap(f, pts)
+    # the values are linear in the branch coefficients, so their block of
+    # d_params is the design matrix of the coefficients' least squares
     zeros = np.zeros((r, degree + 1))
-    prev_err = np.inf
-    for _ in range(50):  # alternate branch-coefficient and W updates to convergence
-        # the values are linear in the branch coefficients, so their block of
-        # d_params is the design matrix of the coefficients' least squares
-        design = DecoupledFunction(w, v, zeros).d_params(pts)[:, :, -zeros.size:]
-        coeffs = np.linalg.lstsq(design.reshape(-1, zeros.size), f_vals.ravel(), rcond=None)[0]
-        branches = tuple(coeffs.reshape(zeros.shape))
-        g_vals = DecoupledFunction(np.eye(r), v, branches).values(pts)  # g(V^T p) alone
-        w = np.linalg.lstsq(g_vals, f_vals, rcond=None)[0].T
-        err = float(np.linalg.norm(f_vals - g_vals @ w.T))
-        if err >= prev_err * (1.0 - 1e-12):
-            break
-        prev_err = err
-    # joint second-order polish removes the linear-convergence plateau of the
-    # alternating updates (machine precision for exactly decomposable maps)
-    _, func = _lm_refine(DecoupledFunction(w, v, branches), pts, f_vals,
-                         np.ones(f.n_outputs), max_iterations=30)
-    return func, cpd
+    design = DecoupledFunction(w, v, zeros).d_params(pts)[:, :, -zeros.size:]
+    coeffs = np.linalg.lstsq(design.reshape(-1, zeros.size), f_vals.ravel(), rcond=None)[0]
+    return DecoupledFunction(w, v, tuple(coeffs.reshape(zeros.shape))), cpd
 
 
 def _result(f: PolyMap, func: DecoupledFunction, cpd: CpdResult, test: np.ndarray,
@@ -476,7 +474,7 @@ def _result(f: PolyMap, func: DecoupledFunction, cpd: CpdResult, test: np.ndarra
 
 def _lm_refine(func: DecoupledFunction, pts: np.ndarray, f_vals: np.ndarray,
                w_out: np.ndarray, max_iterations: int) -> tuple[float, DecoupledFunction]:
-    """Joint Levenberg-Marquardt polish of W, V and the branch coefficients on
+    """Joint Levenberg-Marquardt fit of W, V and the branch coefficients on
     the weighted residuals ``sqrt(w_out) * (W g(V^T p) - f(p))``."""
     sqrt_w = np.sqrt(w_out)
 

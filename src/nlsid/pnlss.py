@@ -86,11 +86,9 @@ class PnlssModel:
     def frf(self, omega: np.ndarray) -> np.ndarray:
         """Linear-part FRF ``C (zI - A)^-1 B + D`` at digital frequencies."""
         z = np.exp(1j * np.asarray(omega, dtype=float))
-        n = self.state_dim
-        out = np.empty(len(z), dtype=complex)
-        for i, zi in enumerate(z):
-            out[i] = self.c @ np.linalg.solve(zi * np.eye(n) - self.a, self.b) + self.d
-        return out
+        x = np.linalg.solve(z[:, None, None] * np.eye(self.state_dim) - self.a, self.b)
+        # c @ x one line at a time: a matrix-vector product sums in another order
+        return np.array([self.c @ xi for xi in x], dtype=complex) + self.d
 
     def to_dict(self) -> dict:
         if self.e_map is None:

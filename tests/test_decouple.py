@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nlsid.decouple as D
 from nlsid.decouple import (DecoupledFunction, canonicalize, cpd_als,
                             decouple_approx, decouple_exact, eval_decoupled,
                             to_polymap)
@@ -110,6 +113,21 @@ def test_branch_values_are_those_of_the_simulation_loop():
     assert np.array_equal(eval_decoupled(d, p), d.branch_values(p) @ d.w.T)
 
 
+def test_branch_terms_are_the_powers_and_slopes():
+    rng = np.random.default_rng(23)
+    d = DecoupledFunction(rng.normal(size=(2, 3)), rng.normal(0.0, 0.6, size=(4, 3)),
+                          (rng.normal(size=8), rng.normal(size=3), rng.normal(size=5)))
+    p = rng.uniform(-1.5, 1.5, (3000, 4))
+    powers, dg = d._branch_terms(p)
+    x = d._branch_inputs(p)
+    assert powers.shape == (3000, 3, 8)
+    for j in range(8):
+        np.testing.assert_allclose(powers[:, :, j], x**j, rtol=1e-14, atol=0.0)
+    cf = d._coefficient_matrix()
+    slopes = sum(j * cf[:, j] * x ** (j - 1) for j in range(1, 8))
+    np.testing.assert_allclose(dg, slopes, rtol=1e-12, atol=1e-12 * np.max(np.abs(slopes)))
+
+
 def test_d_params_w_block_is_the_branch_values():
     rng = np.random.default_rng(22)
     d = DecoupledFunction(rng.normal(size=(3, 2)), rng.normal(0.0, 0.6, size=(4, 2)),
@@ -173,6 +191,59 @@ def test_cpd_error_monotone_over_sweeps():
     assert np.all(diffs <= 1e-12)
 
 
+def reference_cpd_als(tensor, rank, seed=0):
+    """The ALS sweep that forms both Gram matrices of every mode update."""
+    norm = np.linalg.norm(tensor)
+    rng = np.random.default_rng(seed)
+    unfoldings = [D._unfold(tensor, m) for m in range(3)]
+    factors = []
+    for mode in range(3):
+        u_sv = np.linalg.svd(unfoldings[mode], full_matrices=False)[0]
+        take = min(rank, u_sv.shape[1])
+        factors.append(np.concatenate(
+            [u_sv[:, :take], 0.1 * rng.standard_normal((tensor.shape[mode], rank - take))],
+            axis=1))
+    errors = []
+    prev = np.inf
+    stop = "cap"
+    for sweep in range(D.CPD_MAX_SWEEPS):
+        for mode in range(3):
+            others = [factors[m] for m in range(3) if m != mode]
+            kr = D._khatri_rao(others[0], others[1])
+            gram = (others[0].T @ others[0]) * (others[1].T @ others[1])
+            rhs = unfoldings[mode] @ kr
+            factors[mode] = np.linalg.solve(
+                gram + 1e-14 * np.eye(rank) * max(np.trace(gram), 1.0), rhs.T
+            ).T
+        err = D._cpd_error(unfoldings[0], factors, norm)
+        errors.append(err)
+        if prev - err < D.CPD_REL_TOL * max(prev, 1e-300):
+            stop = "converged" if err <= D.CPD_CONVERGED else "stalled"
+            break
+        if (sweep >= D.CPD_WINDOW and err > D.CPD_CONVERGED
+                and errors[-1 - D.CPD_WINDOW] - err < D.CPD_PLATEAU * err):
+            stop = "plateau"
+            break
+        prev = err
+    return factors, np.asarray(errors), stop
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(2, 30)),
+       true_rank=st.integers(1, 4), rank=st.integers(1, 4), noise=st.sampled_from([0.0, 0.05]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cpd_als_is_the_reference_sweep_bit_for_bit(shape, true_rank, rank, noise, seed):
+    rng = np.random.default_rng(seed)
+    tensor = np.einsum("ir,jr,kr->ijk", *(rng.normal(size=(m, true_rank)) for m in shape))
+    tensor = tensor + noise * rng.normal(size=shape)
+    res = cpd_als(tensor, rank, seed=seed % 1000)
+    factors, errors, stop = reference_cpd_als(tensor, rank, seed=seed % 1000)
+    assert res.stop == stop
+    assert np.array_equal(res.error_history, errors)
+    for got, want in zip(res.factors, factors):
+        assert np.array_equal(got, want)
+
+
 def test_cpd_zero_tensor():
     res = cpd_als(np.zeros((2, 3, 4)), rank=2)
     assert res.rel_error == 0.0
@@ -184,6 +255,40 @@ def test_approx_matches_exact_at_true_rank():
     exact = decouple_exact(f, r=2, num_points=300, seed=0)
     approx = decouple_approx(f, r=2, num_points=300, seed=0, restarts=0)
     assert approx.residual_rms <= max(2.0 * exact.residual_rms, 1e-9)
+
+
+def counted_lm_runs(monkeypatch) -> list[int]:
+    """The ``max_iterations`` of every joint LM run, in call order."""
+    runs = []
+    refine = D._lm_refine
+
+    def counted(func, pts, f_vals, w_out, max_iterations):
+        runs.append(max_iterations)
+        return refine(func, pts, f_vals, w_out, max_iterations)
+
+    monkeypatch.setattr(D, "_lm_refine", counted)
+    return runs
+
+
+def test_exact_decoupling_runs_lm_once(monkeypatch):
+    runs = counted_lm_runs(monkeypatch)
+    decouple_exact(worked_example_map(), r=2, num_points=300, seed=0)
+    assert runs == [D.START_ITERATIONS]
+
+
+@pytest.mark.parametrize("restarts", [0, 1, 2])
+def test_approx_runs_lm_once_for_attempt_0_and_twice_per_restart(monkeypatch, restarts):
+    # attempt 0's start already lives on the refinement cloud; each restart
+    # fits its start on its own cloud first
+    runs = counted_lm_runs(monkeypatch)
+    decouple_approx(worked_example_map(), r=1, branch_degree=3, num_points=200, seed=0,
+                    max_iterations=50, restarts=restarts)
+    assert runs == [50] + [D.START_ITERATIONS, 50] * restarts
+
+
+def test_approx_restarts_keep_the_held_out_residual():
+    res = decouple_approx(worked_example_map(), r=1, branch_degree=3, num_points=400, seed=0)
+    assert res.residual_rms == pytest.approx(15.905858404739, abs=1e-6)
 
 
 def rank_four_map() -> PolyMap:

@@ -431,6 +431,28 @@ def test_init_linear_from_bla_exact_second_order():
     assert np.max(np.abs(model.frf(omega) - g_true) / np.abs(g_true)) < 1e-6
 
 
+def reference_frf(model: PnlssModel, omega: np.ndarray) -> np.ndarray:
+    """One solve of ``(zI - A) x = B`` per line, then ``C x + D``."""
+    z = np.exp(1j * np.asarray(omega, dtype=float))
+    out = np.empty(len(z), dtype=complex)
+    for i, zi in enumerate(z):
+        x = np.linalg.solve(zi * np.eye(model.state_dim) - model.a, model.b)
+        out[i] = model.c @ x + model.d
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), lines=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_frf_is_the_per_line_solve_bit_for_bit(n, lines, seed):
+    rng = np.random.default_rng(seed)
+    model = PnlssModel(a=rng.normal(0.0, 0.4, size=(n, n)), b=rng.normal(size=n),
+                       c=rng.normal(size=n), d=float(rng.normal()), e_map=None, f_map=None,
+                       x0=np.zeros(n))
+    omega = rng.uniform(0.0, np.pi, lines)
+    got = model.frf(omega)
+    assert got.dtype == complex and np.array_equal(got, reference_frf(model, omega))
+
+
 def test_init_linear_overmodelled_extra_modes_cancel():
     spec = flat_amplitude_spec(256, 1.0, full_grid(256, 100), rms=1.0)
     b, a = (0.2, 0.1), (1.0, -0.5)  # true order 1
