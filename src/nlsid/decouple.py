@@ -147,7 +147,10 @@ class DecoupledFunction:
         branch slopes ``g'(x)`` (T, r)."""
         cf = self._coefficient_matrix()
         x = self._branch_inputs(p)
-        powers = np.cumprod(np.stack([np.ones_like(x)] + [x] * (cf.shape[1] - 1), axis=2), axis=2)
+        powers = np.empty(x.shape + (cf.shape[1],))
+        powers[:, :, 0] = 1.0
+        for j in range(1, cf.shape[1]):
+            powers[:, :, j] = powers[:, :, j - 1] * x
         dg = np.zeros_like(x)
         for j in range(1, cf.shape[1]):
             dg += j * cf[:, j][None, :] * powers[:, :, j - 1]

@@ -86,9 +86,13 @@ class PnlssModel:
     def frf(self, omega: np.ndarray) -> np.ndarray:
         """Linear-part FRF ``C (zI - A)^-1 B + D`` at digital frequencies."""
         z = np.exp(1j * np.asarray(omega, dtype=float))
-        x = np.linalg.solve(z[:, None, None] * np.eye(self.state_dim) - self.a, self.b)
-        # c @ x one line at a time: a matrix-vector product sums in another order
-        return np.array([self.c @ xi for xi in x], dtype=complex) + self.d
+        # b as a (1, n, 1) stack of one column: numpy < 2 reads a right-hand
+        # side with one dimension fewer than the matrices as stacked vectors
+        x = np.linalg.solve(z[:, None, None] * np.eye(self.state_dim) - self.a,
+                            self.b[None, :, None])
+        # one dot product per line, as (n,) @ (L, n, 1); a single matrix-vector
+        # product x @ c sums in another order
+        return (self.c @ x)[:, 0] + self.d
 
     def to_dict(self) -> dict:
         if self.e_map is None:

@@ -453,6 +453,28 @@ def test_frf_is_the_per_line_solve_bit_for_bit(n, lines, seed):
     assert got.dtype == complex and np.array_equal(got, reference_frf(model, omega))
 
 
+def test_frf_solve_right_hand_side_has_the_matrix_rank(monkeypatch):
+    # numpy < 2 reads b as stacked vectors when b.ndim == a.ndim - 1, so a
+    # 1-D b or an (n, 1) column against (L, n, n) matrices raises there;
+    # numpy 1 and 2 read b alike when it has the matrices' rank
+    solve = np.linalg.solve
+    shapes = []
+
+    def checked_solve(a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        assert np.ndim(b) == np.ndim(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", checked_solve)
+    model = linear_model(np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([1.0, 0.5]),
+                         np.array([0.2, 0.7]), 0.1, 2)
+    omega = np.linspace(0.1, 3.0, 7)
+    got = model.frf(omega)
+    assert shapes == [((7, 2, 2), (1, 2, 1))]
+    monkeypatch.undo()
+    assert np.array_equal(got, reference_frf(model, omega))
+
+
 def test_init_linear_overmodelled_extra_modes_cancel():
     spec = flat_amplitude_spec(256, 1.0, full_grid(256, 100), rms=1.0)
     b, a = (0.2, 0.1), (1.0, -0.5)  # true order 1
