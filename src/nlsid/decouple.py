@@ -147,13 +147,11 @@ class DecoupledFunction:
         branch slopes ``g'(x)`` (T, r)."""
         cf = self._coefficient_matrix()
         x = self._branch_inputs(p)
-        powers = np.empty(x.shape + (cf.shape[1],))
-        powers[:, :, 0] = 1.0
-        for j in range(1, cf.shape[1]):
-            powers[:, :, j] = powers[:, :, j - 1] * x
+        powers = np.ones(x.shape + (cf.shape[1],))
         dg = np.zeros_like(x)
         for j in range(1, cf.shape[1]):
             dg += j * cf[:, j][None, :] * powers[:, :, j - 1]
+            powers[:, :, j] = powers[:, :, j - 1] * x
         return powers, dg
 
     def d_vars(self, p: np.ndarray) -> np.ndarray:

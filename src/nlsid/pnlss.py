@@ -85,13 +85,10 @@ class PnlssModel:
 
     def frf(self, omega: np.ndarray) -> np.ndarray:
         """Linear-part FRF ``C (zI - A)^-1 B + D`` at digital frequencies."""
-        z = np.exp(1j * np.asarray(omega, dtype=float))
-        # b as a (1, n, 1) stack of one column: numpy < 2 reads a right-hand
-        # side with one dimension fewer than the matrices as stacked vectors
-        x = np.linalg.solve(z[:, None, None] * np.eye(self.state_dim) - self.a,
-                            self.b[None, :, None])
-        # one dot product per line, as (n,) @ (L, n, 1); a single matrix-vector
-        # product x @ c sums in another order
+        z = np.exp(1j * np.asarray(omega, dtype=float))[:, None, None]
+        # b as a (1, n, 1) column stack, which numpy < 2 also reads as matrices;
+        # (n,) @ (L, n, 1) sums each line as a per-line loop does, x @ c does not
+        x = np.linalg.solve(z * np.eye(self.state_dim) - self.a, self.b[None, :, None])
         return (self.c @ x)[:, 0] + self.d
 
     def to_dict(self) -> dict:
