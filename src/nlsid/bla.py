@@ -9,12 +9,12 @@ isolates the noise-only part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .nonparam import sample_statistics
-from .signals import MultisineSpec, SignalRecord
+from .signals import MultisineSpec, SignalRecord, design_multisine, random_phases
 
 MIN_INPUT_MAGNITUDE_EPS = 1e3  # multiples of machine epsilon
 
@@ -180,9 +180,6 @@ def bla_shift_study(system, spec: MultisineSpec, levels, num_realizations: int =
         lines, or None when the maximum sits on a band edge (no interior
         resonance).  ``distortion_level`` is the mean total FRF std over lines.
     """
-    from .signals import design_multisine, random_phases, tile_periods
-    from dataclasses import replace
-
     levels = list(levels)
     if len(levels) < 2:
         raise ValueError("need at least two excitation levels")
@@ -196,7 +193,7 @@ def bla_shift_study(system, spec: MultisineSpec, levels, num_realizations: int =
         recs = []
         for r in range(num_realizations):
             real = random_phases(scaled, seed + 1000 * i_level + r)
-            u = tile_periods(design_multisine(real), num_periods)
+            u = design_multisine(real, num_periods)
             recs.append(system(u, spec.sample_rate_hz))
         model = estimate_bla_spectral(recs, scaled)
         rows.append(

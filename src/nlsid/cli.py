@@ -67,6 +67,17 @@ def _config_values(build):
     return checked
 
 
+def _seed(config: dict, seed_override: int | None) -> int:
+    """The run's seed: ``--seed`` when given, else the config's ``seed``,
+    which must be a nonnegative integer."""
+    seed = seed_override if seed_override is not None else config.get("seed")
+    if seed is None:
+        raise ConfigError("missing required config field 'seed'")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"config field 'seed' must be a nonnegative integer, got {seed!r}")
+    return seed
+
+
 def _read_record(path) -> signals.SignalRecord:
     """Report a record that fails to load (missing or malformed files, a
     non-finite sample) as a config error (exit 2).  ``read_signal_record`` is
@@ -128,10 +139,7 @@ def _require_odd_grid(kind: str, command: str) -> None:
 def cmd_design(config: dict, out: Path, seed_override: int | None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "excitation", "seed", "num_periods"})
-    seed = seed_override if seed_override is not None else config.get("seed")
-    if seed is None:
-        raise ConfigError("missing required config field 'seed' (stochastic phases)")
-    spec = _build_spec(_require(config, "excitation", dict), int(seed))
+    spec = _build_spec(_require(config, "excitation", dict), _seed(config, seed_override))
     num_periods = int(config.get("num_periods", 1))
     u = signals.design_multisine(spec, num_periods)
     write_json(out / "multisine.json", spec.to_dict())
@@ -196,10 +204,7 @@ def cmd_simulate(config: dict, out: Path, seed_override: int | None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "system", "excitation", "input_csv",
                          "num_periods", "discard_periods", "noise", "seed"})
-    seed = seed_override if seed_override is not None else config.get("seed")
-    if seed is None:
-        raise ConfigError("missing required config field 'seed'")
-    seed = int(seed)
+    seed = _seed(config, seed_override)
     system = _build_system(_require(config, "system", dict))
     noise = _build_noise(config.get("noise", {}), seed)
     num_periods = int(config.get("num_periods", 2))
@@ -273,10 +278,12 @@ def cmd_fit_narx(config: dict, out: Path, seed_override: int | None,
                  record: signals.SignalRecord | None = None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "record", "na", "nb", "degree", "direct_term"})
+    direct_term = config.get("direct_term", True)
+    if not isinstance(direct_term, bool):
+        raise ConfigError(f"config field 'direct_term' must be true or false, got {direct_term!r}")
     rec = _stage_record(config, record)
     model = narx_mod.fit_narx(rec, int(_require(config, "na")), int(_require(config, "nb")),
-                              int(_require(config, "degree")),
-                              bool(config.get("direct_term", True)))
+                              int(_require(config, "degree")), direct_term)
     write_json(out / "narx.json", model.to_dict())
 
 
@@ -334,13 +341,7 @@ def cmd_decouple(config: dict, out: Path, seed_override: int | None) -> None:
     _check_schema(config)
     _check_keys(config, {"schema_version", "polymap", "pnlss", "r", "branch_degree",
                          "num_points", "seed", "mode", "record"})
-    seed = seed_override if seed_override is not None else config.get("seed")
-    if seed is None:
-        raise ConfigError("missing required config field 'seed' (point cloud)")
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field 'seed' must be an integer, got {seed!r}") from None
+    seed = _seed(config, seed_override)
     r = _positive_int("r", _require(config, "r"))
     num_points = _positive_int("num_points", config.get("num_points", 500))
     branch_degree = config.get("branch_degree")
@@ -444,10 +445,7 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
     _check_keys(config, {"schema_version", "seed", "excitation", "system", "noise",
                          "num_periods", "discard_periods", "fit", "max_lag",
                          "threshold_db"})
-    seed = seed_override if seed_override is not None else config.get("seed")
-    if seed is None:
-        raise ConfigError("missing required config field 'seed'")
-    seed = int(seed)
+    seed = _seed(config, seed_override)
     excitation = _require(config, "excitation", dict)
     _require_odd_grid(excitation.get("grid_kind", "full"), "pipeline")
     manifest_path = out / "manifest.json"

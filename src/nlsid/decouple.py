@@ -5,22 +5,21 @@ A coupled polynomial map ``q = f(p)`` is rewritten as ``q = W g(V^T p)`` with
 Jacobian of ``f`` on a point cloud, stacks the evaluations into a three-way
 tensor, and computes a canonical polyadic decomposition by alternating least
 squares, in one run from a HOSVD start; its first two factor modes give W
-and V, a linear least-squares fit gives the branches.  The exact and the
-approximate (reduced-rank) decouplings share that start and fit all factors
-jointly by Levenberg-Marquardt, the approximate one on weighted function
-residuals, from a few seeded starts.
+and V, a linear least-squares fit gives the branches.  One routine,
+:func:`decouple_approx`, fits all factors jointly from there by
+Levenberg-Marquardt on the function residuals, from a few seeded starts;
+the exact decoupling is its one attempt without restarts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .lm import levenberg_marquardt
-from .polybasis import PolyMap, enumerate_monomials, eval_polymap, jacobian_polymap
+from .polybasis import (MonomialPlan, PolyMap, enumerate_monomials, eval_polymap,
+                        jacobian_polymap)
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,8 @@ CPD_WINDOW = 100        # sweeps over which a plateau is measured ...
 CPD_PLATEAU = 1e-3      # ... and the share of the error it must fall by there
 CLOUD_DOMAIN = (-1.0, 1.0)  # every variable's range in a sampled point cloud
 BRANCH_REL_TOL = 1e-6   # a branch coefficient counts above this share of the largest
-START_ITERATIONS = 30   # LM iterations that fit a start on its own cloud
+START_ITERATIONS = 30   # LM iterations that fit a restart's start on its own cloud
+REFINE_ITERATIONS = 200  # LM iterations of the refinement on the cloud of the seed
 
 
 def cpd_als(tensor: np.ndarray, rank: int, seed: int = 0) -> CpdResult:
@@ -360,78 +360,58 @@ def canonicalize(d: DecoupledFunction) -> DecoupledFunction:
 def decouple_exact(f: PolyMap, r: int, num_points: int = 500, seed: int = 0,
                    branch_degree: int | None = None,
                    points: np.ndarray | None = None) -> DecoupleResult:
-    """Exact tensor-based decoupling of a polynomial map.
+    """Exact tensor-based decoupling of a polynomial map: one attempt of
+    :func:`decouple_approx`, without restarts.
+
+    At a rank the map reaches, the CPD start is already exact up to rounding,
+    so its Levenberg-Marquardt run stops after a few iterations.
+    """
+    return decouple_approx(f, r, branch_degree, num_points, seed, restarts=0, points=points)
+
+
+def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
+                    num_points: int = 500, seed: int = 0, restarts: int = 2,
+                    points: np.ndarray | None = None) -> DecoupleResult:
+    """Rank-r decoupling, from ``restarts + 1`` CPD starts.
 
     Evaluates the Jacobian of ``f`` at ``num_points`` seeded random points,
     stacks the matrices into an ``n_q x n_p x T`` tensor, reads W and V off
-    its rank-r CPD (one ALS run, :func:`cpd_als`), fits the univariate
-    branches by least squares on the function values, and fits all factors
-    jointly from there by one 30-iteration Levenberg-Marquardt run.
+    its rank-r CPD (one ALS run, :func:`cpd_als`) and fits the univariate
+    branches, of ``branch_degree`` (default the degree of ``f``), by least
+    squares on the function values.  W, V and the branch coefficients are
+    then refined together by one Levenberg-Marquardt run of at most
+    ``REFINE_ITERATIONS`` on the function residuals over the cloud of
+    ``seed``.  Attempt ``k`` draws its own cloud of seed ``seed + 101 * k``
+    for its start; a restart (``k > 0``) first fits that start on its own
+    cloud, for ``START_ITERATIONS``.  The attempt with the lowest cost wins;
+    divergence inside LM just returns the best iterate.
 
     The cloud is uniform in the box ``CLOUD_DOMAIN``; alternatively
     ``points`` supplies the cloud directly, e.g. states visited by a model, so
     the decoupled form is accurate on the operating region.
 
-    The result is canonicalized (see :func:`canonicalize`) and its residual
-    ``max |f(p) - W g(V^T p)|`` is evaluated on a fresh test cloud.  CPD
-    stagnation is reported through ``converged=False``, never raised.
+    The result is canonicalized (see :func:`canonicalize`) and its residuals
+    are evaluated on a held-out cloud of seed ``seed + 9999``.
+    ``converged`` and the ``cpd_*`` fields are those of the CPD that started
+    the winning attempt, so a rank the map cannot reach exactly reports
+    ``converged=False``; it is never raised.
     """
     pts = _cloud(seed, num_points, f.n_vars, points)
     f_vals = eval_polymap(f, pts)
-    start, cpd = _initial_decoupling(f, r, branch_degree, pts, f_vals, seed)
-    _, func = _lm_refine(start, pts, f_vals, np.ones(f.n_outputs), START_ITERATIONS)
-    test = _cloud(seed + 1, max(num_points, 256), f.n_vars, points)
-    return _result(f, func, cpd, test, np.ones(f.n_outputs))
-
-
-def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
-                    weight: np.ndarray | None = None, num_points: int = 500,
-                    seed: int = 0, max_iterations: int = 200,
-                    restarts: int = 2, points: np.ndarray | None = None) -> DecoupleResult:
-    """Approximate rank-r decoupling with joint Levenberg-Marquardt refinement.
-
-    Each of ``restarts + 1`` attempts builds the CPD start of
-    :func:`decouple_exact` on the positively weighted outputs, over its own
-    cloud of seed ``seed + 101 * attempt``, then refines W, V and the branch
-    coefficients together on weighted function residuals over the cloud of
-    ``seed`` (or caller-supplied ``points``), the cloud of attempt 0; a
-    restart first fits its start as :func:`decouple_exact` does, on its own
-    cloud.  The attempt with the lowest cost wins; divergence inside LM just
-    returns the best iterate.
-    The reported residuals use a held-out cloud.  ``weight`` is per-output; a
-    zero weight removes that output from the objective exactly.
-    ``converged`` and the ``cpd_*`` fields are those of the CPD that started the
-    winning attempt, so a rank the map cannot reach exactly reports
-    ``converged=False``.
-    """
-    w_out = np.ones(f.n_outputs) if weight is None else np.asarray(weight, dtype=float)
-    if w_out.shape != (f.n_outputs,) or np.any(w_out < 0):
-        raise ValueError("weight must be a nonnegative vector, one entry per output")
-    pts = _cloud(seed, num_points, f.n_vars, points)
-    f_vals = eval_polymap(f, pts)
-    # zero-weight outputs are excluded end to end: the CPD initialization only
-    # ever sees the active rows, and their W rows stay at zero through the LM
-    active = np.flatnonzero(w_out > 0)
-    if len(active) == 0:
-        raise ValueError("at least one output must carry positive weight")
-    f_active = PolyMap(f.basis, f.coefficients[active])
     best: tuple[float, DecoupledFunction, CpdResult] | None = None
     for attempt in range(restarts + 1):
         s = seed + 101 * attempt
-        cloud = _cloud(s, num_points, f.n_vars, points)
-        vals = eval_polymap(f_active, cloud)
-        init, cpd = _initial_decoupling(f_active, r, branch_degree, cloud, vals, s)
+        cloud = _cloud(s, num_points, f.n_vars, points) if attempt else pts
+        vals = eval_polymap(f, cloud) if attempt else f_vals
+        start, cpd = _initial_decoupling(f, r, branch_degree, cloud, vals, s)
         if attempt:
-            _, init = _lm_refine(init, cloud, vals, np.ones(len(active)), START_ITERATIONS)
-        w_full = np.zeros((f.n_outputs, r))
-        w_full[active] = init.w
-        start = DecoupledFunction(w_full, init.v, init.branches)
-        cost, func = _lm_refine(start, pts, f_vals, w_out, max_iterations)
+            _, start = _lm_refine(start, cloud, vals, START_ITERATIONS)
+        cost, func = _lm_refine(start, pts, f_vals, REFINE_ITERATIONS)
         if best is None or cost < best[0]:
             best = (cost, func, cpd)
     _, func, cpd = best
     held = _cloud(seed + 9999, max(num_points, 256), f.n_vars, points)
-    return _result(f, func, cpd, held, w_out)
+    return _result(f, func, cpd, held)
 
 
 def _initial_decoupling(f: PolyMap, r: int, degree: int | None, pts: np.ndarray,
@@ -456,12 +436,11 @@ def _initial_decoupling(f: PolyMap, r: int, degree: int | None, pts: np.ndarray,
     return DecoupledFunction(w, v, tuple(coeffs.reshape(zeros.shape))), cpd
 
 
-def _result(f: PolyMap, func: DecoupledFunction, cpd: CpdResult, test: np.ndarray,
-            w_out: np.ndarray) -> DecoupleResult:
-    """Canonical ``func`` with its weighted residual on the held-out ``test``."""
+def _result(f: PolyMap, func: DecoupledFunction, cpd: CpdResult,
+            test: np.ndarray) -> DecoupleResult:
+    """Canonical ``func`` with its residual on the held-out ``test``."""
     func = canonicalize(func)
-    active = np.flatnonzero(w_out > 0)
-    resid = (eval_polymap(f, test) - eval_decoupled(func, test))[:, active] * np.sqrt(w_out[active])
+    resid = eval_polymap(f, test) - eval_decoupled(func, test)
     return DecoupleResult(
         function=func,
         residual_max=float(np.max(np.abs(resid))),
@@ -474,19 +453,18 @@ def _result(f: PolyMap, func: DecoupledFunction, cpd: CpdResult, test: np.ndarra
 
 
 def _lm_refine(func: DecoupledFunction, pts: np.ndarray, f_vals: np.ndarray,
-               w_out: np.ndarray, max_iterations: int) -> tuple[float, DecoupledFunction]:
+               max_iterations: int) -> tuple[float, DecoupledFunction]:
     """Joint Levenberg-Marquardt fit of W, V and the branch coefficients on
-    the weighted residuals ``sqrt(w_out) * (W g(V^T p) - f(p))``."""
-    sqrt_w = np.sqrt(w_out)
+    the residuals ``W g(V^T p) - f(p)``."""
 
     def residual(theta):
         # an overflowing trial has a non-finite cost, so it is rejected like
         # any trial that does not lower the cost, and never raises
         trial = func.with_params(theta)
-        return ((trial.values(pts) - f_vals) * sqrt_w).ravel(), trial
+        return (trial.values(pts) - f_vals).ravel(), trial
 
     def jacobian(theta, trial):
-        return (trial.d_params(pts) * sqrt_w[:, None]).reshape(-1, len(theta))
+        return trial.d_params(pts).reshape(-1, len(theta))
 
     _, costs, _, _, final = levenberg_marquardt(residual, jacobian, func.params,
                                                 max_iterations, cost_tol=1e-12,
@@ -497,30 +475,14 @@ def _lm_refine(func: DecoupledFunction, pts: np.ndarray, f_vals: np.ndarray,
 def to_polymap(d: DecoupledFunction) -> PolyMap:
     """Expand ``W g(V^T p)`` into an explicit multivariate PolyMap.
 
-    Exact by the multinomial theorem; the result spans total degrees 0 through
-    the maximum branch degree.  This is the adapter that lets a decoupled
-    state polynomial replace the coupled map inside a state-space model.
+    Exact by the multinomial theorem (:meth:`MonomialPlan.expansion`); the
+    result spans total degrees 0 through the longest branch's degree.  This
+    is the adapter that lets a decoupled state polynomial replace the coupled
+    map inside a state-space model.
     """
-    n_p = d.n_inputs
-    max_deg = max(len(c) - 1 for c in d.branches)
-    basis = enumerate_monomials(n_p, 0, max_deg)
-    index = {e: i for i, e in enumerate(basis.exponents)}
-    coeff = np.zeros((d.n_outputs, len(basis)))
-    for i in range(d.r):
-        v = d.v[:, i]
-        c = d.branches[i]
-        for j, cj in enumerate(c):
-            if cj == 0.0:
-                continue
-            # (sum_k v_k p_k)^j expanded over exponent multisets
-            for combo in combinations_with_replacement(range(n_p), j):
-                exp = [0] * n_p
-                for k in combo:
-                    exp[k] += 1
-                mult = math.factorial(j)
-                coef = cj
-                for k, e in enumerate(exp):
-                    mult //= math.factorial(e)
-                    coef *= v[k] ** e
-                coeff[:, index[tuple(exp)]] += d.w[:, i] * (mult * coef)
-    return PolyMap(basis, coeff)
+    cf = d._coefficient_matrix()
+    basis = enumerate_monomials(d.n_inputs, 0, cf.shape[1] - 1)
+    plan = MonomialPlan(d.n_inputs, basis.degree_max)
+    # the basis is a prefix of the plan, which always holds degree 1
+    m = len(basis)
+    return PolyMap(basis, d.w @ (cf[:, plan.degrees[:m]] * plan.expansion(d.v.T)[:, :m]))

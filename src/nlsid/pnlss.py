@@ -17,7 +17,6 @@ re-optimized in the model-pruning workflow.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from array import array
 from dataclasses import dataclass, replace
@@ -692,17 +691,14 @@ def _direction_scorer(z: np.ndarray, e_vals: np.ndarray, degree: int):
     r, g = r_aug[:m, :m], r_aug[:m, m:]
     rest = float(np.sum(r_aug[m:, m:] ** 2))  # the same for every direction
     size = e_vals.size
-    degrees = np.array(plan.exponents).sum(axis=1)
-    multinom = np.array([math.factorial(sum(e)) / math.prod(map(math.factorial, e))
-                         for e in plan.exponents])
     below = slice(n_vars + 1, None)  # rows of Q^T below the [1, z] block
     g_low = g[below]
-    blocks = [(degrees == j, r[below, degrees == j]) for j in range(2, degree + 1)]
+    blocks = [(plan.degrees == j, r[below, plan.degrees == j]) for j in range(2, degree + 1)]
 
     def score(dirs: np.ndarray) -> np.ndarray:
         out = np.empty(len(dirs))
         for start in range(0, len(dirs), CHUNK):
-            coef = plan.table(dirs[start : start + CHUNK]) * multinom
+            coef = plan.expansion(dirs[start : start + CHUNK])
             # (chunk, rows, degree - 1): R times the coefficients of each power
             block = np.stack([coef[:, cols] @ r_j.T for cols, r_j in blocks], axis=2)
             qb = np.linalg.qr(block)[0]

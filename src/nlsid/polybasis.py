@@ -3,7 +3,8 @@
 One engine makes every monomial: a :class:`MonomialPlan` forms each monomial
 of degree ``d >= 2`` as one of degree ``d - 1`` times one variable.  Its
 exponents are the :class:`MonomialBasis` enumeration, its batch table gives
-:func:`eval_monomials` and, read at ``e - 1_j``, :func:`monomial_jacobian`.
+:func:`eval_monomials` and, read at ``e - 1_j``, :func:`monomial_jacobian`;
+scaled by the multinomials, it expands powers ``(v . z)^j`` of a projection.
 The NARX simulation loop and the generated PNLSS step (one line per plan
 entry) make the same products in the same order on Python floats, so
 simulations, fit Jacobians and the decoupler see identical monomials.
@@ -12,6 +13,7 @@ simulations, fit Jacobians and the decoupler see identical monomials.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -77,6 +79,23 @@ class MonomialPlan:
     @property
     def size(self) -> int:
         return len(self.exponents)
+
+    @functools.cached_property
+    def degrees(self) -> np.ndarray:
+        """Total degree of each table entry."""
+        return np.array(self.exponents).sum(axis=1)
+
+    @functools.cached_property
+    def _multinomials(self) -> np.ndarray:
+        return np.array([math.factorial(sum(e)) / math.prod(map(math.factorial, e))
+                         for e in self.exponents])
+
+    def expansion(self, v: np.ndarray) -> np.ndarray:
+        """``multinom(a) v^a`` for each table entry ``a`` at the rows of ``v``
+        (n_points, n_vars), shape (n_points, size): the coefficient of
+        ``z^a`` in ``(v . z)^|a|``, so the entries of degree ``j`` expand
+        ``(v . z)^j`` over the monomials of ``z``."""
+        return self.table(v) * self._multinomials
 
     def positions(self, basis: MonomialBasis) -> list[int]:
         """Table position of each monomial of ``basis``, in basis order."""

@@ -337,6 +337,38 @@ def test_decouple_bad_config_value_exit_2(tmp_path, capsys, field, value):
     assert not (out / "decoupled.json").exists()
 
 
+@pytest.mark.parametrize("command", ["design", "simulate", "decouple", "pipeline"])
+@pytest.mark.parametrize("seed", ["x", 1.5, True, -1])
+def test_non_integer_seed_exit_2(tmp_path, capsys, command, seed):
+    from nlsid.polybasis import PolyMap
+    from nlsid.serialize import write_json as wj
+    wj(tmp_path / "f.json", PolyMap.zeros(2, 2, 0, 3).to_dict())
+    cfg = {"design": design_config(),
+           "simulate": simulate_config({"type": "static", "coefficients": [0.0, 1.0]}),
+           "decouple": {"schema_version": 1, "polymap": str(tmp_path / "f.json"), "r": 2},
+           "pipeline": dict(PIPE_CFG)}[command]
+    cfg["seed"] = seed
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", write_config(tmp_path, "c.json", cfg),
+                   "--out", str(out)) == 2
+    assert "'seed' must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_fit_narx_non_boolean_direct_term_exit_2(tmp_path, capsys, value):
+    rng = np.random.default_rng(0)
+    write_signal_record(tmp_path / "rec.csv",
+                        SignalRecord(1.0, 64, 2, rng.normal(size=128), rng.normal(size=128)))
+    cfg = write_config(tmp_path, "narx.json", {
+        "schema_version": 1, "record": str(tmp_path / "rec.csv"), "na": 1, "nb": 1,
+        "degree": 1, "direct_term": value})
+    out = tmp_path / "narx"
+    assert run_cli("fit-narx", "--config", cfg, "--out", str(out)) == 2
+    assert "direct_term" in capsys.readouterr().err
+    assert not (out / "narx.json").exists()
+
+
 PIPE_CFG = {
     "schema_version": 1,
     "seed": 11,

@@ -1,6 +1,9 @@
+import math
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlsid.decouple as D
@@ -262,9 +265,9 @@ def counted_lm_runs(monkeypatch) -> list[int]:
     runs = []
     refine = D._lm_refine
 
-    def counted(func, pts, f_vals, w_out, max_iterations):
+    def counted(func, pts, f_vals, max_iterations):
         runs.append(max_iterations)
-        return refine(func, pts, f_vals, w_out, max_iterations)
+        return refine(func, pts, f_vals, max_iterations)
 
     monkeypatch.setattr(D, "_lm_refine", counted)
     return runs
@@ -273,7 +276,7 @@ def counted_lm_runs(monkeypatch) -> list[int]:
 def test_exact_decoupling_runs_lm_once(monkeypatch):
     runs = counted_lm_runs(monkeypatch)
     decouple_exact(worked_example_map(), r=2, num_points=300, seed=0)
-    assert runs == [D.START_ITERATIONS]
+    assert runs == [D.REFINE_ITERATIONS]
 
 
 @pytest.mark.parametrize("restarts", [0, 1, 2])
@@ -282,8 +285,78 @@ def test_approx_runs_lm_once_for_attempt_0_and_twice_per_restart(monkeypatch, re
     # fits its start on its own cloud first
     runs = counted_lm_runs(monkeypatch)
     decouple_approx(worked_example_map(), r=1, branch_degree=3, num_points=200, seed=0,
-                    max_iterations=50, restarts=restarts)
-    assert runs == [50] + [D.START_ITERATIONS, 50] * restarts
+                    restarts=restarts)
+    assert runs == [D.REFINE_ITERATIONS] + [D.START_ITERATIONS, D.REFINE_ITERATIONS] * restarts
+
+
+def reference_decouple_exact(f, r, num_points, seed, points=None):
+    """The exact decoupling as its own routine: one 30-iteration LM run from
+    the CPD start on the cloud of ``seed``."""
+    pts = D._cloud(seed, num_points, f.n_vars, points)
+    f_vals = eval_polymap(f, pts)
+    start, cpd = D._initial_decoupling(f, r, None, pts, f_vals, seed)
+    _, func = D._lm_refine(start, pts, f_vals, D.START_ITERATIONS)
+    return canonicalize(func), cpd
+
+
+def reference_decouple_approx(f, r, branch_degree, num_points, seed, restarts, points=None):
+    """The approximate decoupling that draws and evaluates attempt 0's cloud
+    a second time for its start."""
+    pts = D._cloud(seed, num_points, f.n_vars, points)
+    f_vals = eval_polymap(f, pts)
+    best = None
+    for attempt in range(restarts + 1):
+        s = seed + 101 * attempt
+        cloud = D._cloud(s, num_points, f.n_vars, points)
+        vals = eval_polymap(f, cloud)
+        start, cpd = D._initial_decoupling(f, r, branch_degree, cloud, vals, s)
+        if attempt:
+            _, start = D._lm_refine(start, cloud, vals, D.START_ITERATIONS)
+        cost, func = D._lm_refine(start, pts, f_vals, D.REFINE_ITERATIONS)
+        if best is None or cost < best[0]:
+            best = (cost, func, cpd)
+    return canonicalize(best[1]), best[2]
+
+
+def assert_same_decoupling(res, reference):
+    func, cpd = reference
+    assert np.array_equal(res.function.w, func.w)
+    assert np.array_equal(res.function.v, func.v)
+    assert len(res.function.branches) == len(func.branches)
+    for got, want in zip(res.function.branches, func.branches):
+        assert np.array_equal(got, want)
+    assert (res.converged, res.cpd_error, res.cpd_sweeps, res.cpd_stop) == (
+        cpd.converged, cpd.rel_error, cpd.sweeps, cpd.stop)
+
+
+def given_points(n_vars: int) -> np.ndarray:
+    return np.random.default_rng(11).uniform(-0.5, 0.5, (400, n_vars))
+
+
+@pytest.mark.parametrize("kind, seed", [*(("worked", s) for s in range(6)), ("rank4", 8),
+                                        ("points", 12)])
+def test_exact_is_the_reference_exact_decoupling_bit_for_bit(kind, seed):
+    # at a rank the map reaches the LM run stalls within a few iterations, so
+    # the refinement's larger cap does not change the fit
+    if kind == "rank4":
+        f, r, num_points, points = rank_four_map(), 4, 400, None
+    else:
+        f, r, num_points = worked_example_map(), 2, 300
+        points = given_points(2) if kind == "points" else None
+    res = decouple_exact(f, r=r, num_points=num_points, seed=seed, points=points)
+    assert_same_decoupling(res, reference_decouple_exact(f, r, num_points, seed, points))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_approx_is_the_reference_approx_decoupling_bit_for_bit(seed):
+    # attempt 0 reuses the refinement cloud and its values for its start
+    f = worked_example_map()
+    res = decouple_approx(f, r=1, branch_degree=3, num_points=200, seed=seed, restarts=1)
+    assert_same_decoupling(res, reference_decouple_approx(f, 1, 3, 200, seed, 1))
+    f, points = rank_four_map(), given_points(3)
+    res = decouple_approx(f, r=2, branch_degree=3, num_points=200, seed=seed, restarts=1,
+                          points=points)
+    assert_same_decoupling(res, reference_decouple_approx(f, 2, 3, 200, seed, 1, points))
 
 
 def test_approx_restarts_keep_the_held_out_residual():
@@ -362,23 +435,6 @@ def test_approx_reports_cpd_that_misses_the_rank():
     assert at_rank.cpd_error <= 1e-8
 
 
-def test_approx_zero_weight_excludes_output():
-    # a zero weight removes that output from the objective exactly: replacing
-    # its polynomial by garbage must not change the result at all
-    f = worked_example_map()
-    mangled_coeffs = f.coefficients.copy()
-    mangled_coeffs[1] = np.random.default_rng(1).normal(size=mangled_coeffs.shape[1]) * 100
-    f_mangled = PolyMap(f.basis, mangled_coeffs)
-    w = np.array([1.0, 0.0])
-    res_a = decouple_approx(f, r=2, weight=w, num_points=300, seed=9, restarts=0)
-    res_b = decouple_approx(f_mangled, r=2, weight=w, num_points=300, seed=9, restarts=0)
-    assert res_a.residual_rms == res_b.residual_rms
-    pts = np.random.default_rng(10).uniform(-1, 1, (200, 2))
-    err0_a = eval_polymap(f, pts)[:, 0] - eval_decoupled(res_a.function, pts)[:, 0]
-    err0_b = eval_polymap(f_mangled, pts)[:, 0] - eval_decoupled(res_b.function, pts)[:, 0]
-    assert np.array_equal(err0_a, err0_b)
-
-
 def test_approx_with_given_points_cloud():
     f = worked_example_map()
     rng = np.random.default_rng(11)
@@ -396,6 +452,46 @@ def test_to_polymap_round_trip():
     f = to_polymap(d)
     pts = rng.uniform(-1, 1, (100, 3))
     assert np.allclose(eval_polymap(f, pts), eval_decoupled(d, pts), atol=1e-10)
+
+
+def reference_to_polymap(d: DecoupledFunction) -> np.ndarray:
+    """Coefficients of ``W g(V^T p)`` by the multinomial theorem, one exponent
+    multiset at a time."""
+    n_p = d.n_inputs
+    basis = enumerate_monomials(n_p, 0, max(len(c) - 1 for c in d.branches))
+    index = {e: i for i, e in enumerate(basis.exponents)}
+    coeff = np.zeros((d.n_outputs, len(basis)))
+    for i in range(d.r):
+        v = d.v[:, i]
+        for j, cj in enumerate(d.branches[i]):
+            for combo in combinations_with_replacement(range(n_p), j):
+                exp = [0] * n_p
+                for k in combo:
+                    exp[k] += 1
+                mult = math.factorial(j)
+                coef = cj
+                for k, e in enumerate(exp):
+                    mult //= math.factorial(e)
+                    coef *= v[k] ** e
+                coeff[:, index[tuple(exp)]] += d.w[:, i] * (mult * coef)
+    return coeff
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_p=st.integers(1, 4), n_q=st.integers(1, 3),
+       lengths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_p=2, n_q=2, lengths=[1, 1], seed=0)  # constant-only branches: degree 0
+def test_to_polymap_is_the_reference_expansion(n_p, n_q, lengths, seed):
+    rng = np.random.default_rng(seed)
+    r = len(lengths)
+    d = DecoupledFunction(rng.normal(size=(n_q, r)), rng.normal(size=(n_p, r)),
+                          tuple(rng.normal(size=k) for k in lengths))
+    f = to_polymap(d)
+    want = reference_to_polymap(d)
+    assert f.basis == enumerate_monomials(n_p, 0, max(lengths) - 1)
+    assert f.coefficients.shape == want.shape
+    assert np.max(np.abs(f.coefficients - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_serialization_round_trip():

@@ -91,6 +91,22 @@ def test_plan_table_matches_eval_monomials(n_vars, d_min, extra, seed):
     assert np.array_equal(got, eval_monomials(basis, np.array(z)))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_vars=st.integers(1, 4), degree=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_plan_expansion_sums_to_the_power_of_the_projection(n_vars, degree, seed):
+    # (v . z)^j is the sum over |a| = j of multinom(a) v^a z^a
+    rng = np.random.default_rng(seed)
+    v, z = rng.normal(size=(2, 3, n_vars))
+    plan = MonomialPlan(n_vars, degree)
+    assert np.array_equal(plan.degrees, [sum(e) for e in plan.exponents])
+    terms = plan.expansion(v) * plan.table(z)
+    for j in range(plan.degrees.max() + 1):
+        powers = np.sum(v * z, axis=1) ** j
+        scale = (np.linalg.norm(v, axis=1) * np.linalg.norm(z, axis=1)) ** j
+        got = terms[:, plan.degrees == j].sum(axis=1)
+        assert np.all(np.abs(got - powers) <= 1e-12 * scale), j
+
+
 def test_batch_table_equals_float_recurrence():
     # the simulation loops build each sample's monomials on Python floats;
     # the batch values behind the fit Jacobians must be the same numbers
