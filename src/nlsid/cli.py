@@ -378,7 +378,7 @@ def cmd_decouple(config: dict, out: Path, seed_override: int | None) -> None:
     payload = result.function.to_dict()
     payload["residual_max"] = result.residual_max
     payload["residual_rms"] = result.residual_rms
-    payload["converged"] = result.converged
+    payload["cpd_converged"] = result.cpd_converged
     payload["cpd_error"] = result.cpd_error
     payload["cpd_sweeps"] = result.cpd_sweeps
     payload["cpd_stop"] = result.cpd_stop

@@ -9,6 +9,11 @@ and V, a linear least-squares fit gives the branches.  One routine,
 :func:`decouple_approx`, fits all factors jointly from there by
 Levenberg-Marquardt on the function residuals, from a few seeded starts;
 the exact decoupling is its one attempt without restarts.
+
+The branch constants are set once, from ``f(0)``, and are not free
+parameters of the refinement or of a PNLSS refit (see
+:attr:`DecoupledFunction.params`): a map without a constant term, such as a
+PNLSS state polynomial, decouples with constants of exactly zero.
 """
 
 from __future__ import annotations
@@ -103,17 +108,26 @@ class DecoupledFunction:
     @property
     def params(self) -> np.ndarray:
         """Free parameters as one flat vector: W, V and the padded branch
-        coefficients, each row by row."""
+        coefficients of degree 1 and up, each row by row.
+
+        The branch constants are part of the map but not free: a constant
+        ``c0`` only shifts the output by ``W c0``, which a fit on lines
+        without DC barely sees, so a refit keeps the constants it starts
+        from (zero for the decoupling of a map without a constant term).
+        """
         return np.concatenate([self.w.ravel(), self.v.ravel(),
-                               self._coefficient_matrix().ravel()])
+                               self._coefficient_matrix()[:, 1:].ravel()])
 
     def with_params(self, theta: np.ndarray) -> "DecoupledFunction":
-        """The map with :attr:`params` replaced; branches come back padded."""
+        """The map with :attr:`params` replaced and its own branch constants;
+        branches come back padded."""
         (n_q, r), n_p = self.w.shape, self.n_inputs
         theta = np.asarray(theta, dtype=float)
+        coeffs = theta[(n_q + n_p) * r :].reshape(r, -1)
+        constants = self._coefficient_matrix()[:, :1]
         return DecoupledFunction(theta[: n_q * r].reshape(n_q, r),
                                  theta[n_q * r : (n_q + n_p) * r].reshape(n_p, r),
-                                 tuple(theta[(n_q + n_p) * r :].reshape(r, -1)))
+                                 tuple(np.concatenate([constants, coeffs], axis=1)))
 
     def values(self, p: np.ndarray) -> np.ndarray:
         """Values at a batch of points, shape (T, n_outputs)."""
@@ -169,7 +183,7 @@ class DecoupledFunction:
             jw[:, o, o * r : (o + 1) * r] = g
         # dq/dV[j, i] = W[:, i] g_i'(x_i) p_j, at flat index j * r + i
         jv = np.einsum("oi,ti,tj->toji", self.w, dg, p).reshape(t_len, n_q, -1)
-        jc = np.einsum("oi,tij->toij", self.w, powers).reshape(t_len, n_q, -1)
+        jc = np.einsum("oi,tij->toij", self.w, powers[:, :, 1:]).reshape(t_len, n_q, -1)
         return np.concatenate([jw, jv, jc], axis=2)
 
 
@@ -301,7 +315,7 @@ class DecoupleResult:
     function: DecoupledFunction
     residual_max: float
     residual_rms: float
-    converged: bool
+    cpd_converged: bool
     cpd_error: float
     cpd_sweeps: int
     cpd_stop: str
@@ -392,9 +406,10 @@ def decouple_approx(f: PolyMap, r: int, branch_degree: int | None = None,
 
     The result is canonicalized (see :func:`canonicalize`) and its residuals
     are evaluated on a held-out cloud of seed ``seed + 9999``.
-    ``converged`` and the ``cpd_*`` fields are those of the CPD that started
-    the winning attempt, so a rank the map cannot reach exactly reports
-    ``converged=False``; it is never raised.
+    The ``cpd_*`` fields are those of the CPD that started the winning
+    attempt, so a rank the map cannot reach exactly reports
+    ``cpd_converged=False``; it is never raised.  They describe the CPD of
+    the Jacobians, not the fit of the values: read ``residual_max`` for that.
     """
     pts = _cloud(seed, num_points, f.n_vars, points)
     f_vals = eval_polymap(f, pts)
@@ -418,7 +433,12 @@ def _initial_decoupling(f: PolyMap, r: int, degree: int | None, pts: np.ndarray,
                         f_vals: np.ndarray, seed: int) -> tuple[DecoupledFunction, CpdResult]:
     """Rank-r start on ``pts``, where ``f`` has the values ``f_vals``: unit-norm
     W and V from the CPD of the stacked Jacobians of ``f``, and branches of
-    ``degree`` (default that of ``f``) by least squares."""
+    ``degree`` (default that of ``f``) by least squares.
+
+    The branch constants, which no refinement moves, are those that give
+    ``f(0)`` at the origin, ``c0 = lstsq(W, f(0))``: exactly zero for a map
+    without a constant term.  The other coefficients are fitted to
+    ``f - W c0``."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if f.basis.degree_max < 1:
@@ -428,12 +448,14 @@ def _initial_decoupling(f: PolyMap, r: int, degree: int | None, pts: np.ndarray,
     cpd = cpd_als(tensor, r, seed=seed)
     # unit-norm directions; scales are re-estimated by the branch fit
     w, v = (m / np.maximum(np.linalg.norm(m, axis=0), 1e-300) for m in cpd.factors[:2])
-    # the values are linear in the branch coefficients, so their block of
+    c0 = np.linalg.lstsq(w, eval_polymap(f, np.zeros(f.n_vars)), rcond=None)[0]
+    # the values are linear in the other coefficients, so their block of
     # d_params is the design matrix of the coefficients' least squares
     zeros = np.zeros((r, degree + 1))
-    design = DecoupledFunction(w, v, zeros).d_params(pts)[:, :, -zeros.size:]
-    coeffs = np.linalg.lstsq(design.reshape(-1, zeros.size), f_vals.ravel(), rcond=None)[0]
-    return DecoupledFunction(w, v, tuple(coeffs.reshape(zeros.shape))), cpd
+    design = DecoupledFunction(w, v, zeros).d_params(pts)[:, :, w.size + v.size :]
+    coeffs = np.linalg.lstsq(design.reshape(-1, r * degree), (f_vals - w @ c0).ravel(),
+                             rcond=None)[0]
+    return DecoupledFunction(w, v, tuple(np.column_stack([c0, coeffs.reshape(r, degree)]))), cpd
 
 
 def _result(f: PolyMap, func: DecoupledFunction, cpd: CpdResult,
@@ -445,7 +467,7 @@ def _result(f: PolyMap, func: DecoupledFunction, cpd: CpdResult,
         function=func,
         residual_max=float(np.max(np.abs(resid))),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
-        converged=cpd.converged,
+        cpd_converged=cpd.converged,
         cpd_error=cpd.rel_error,
         cpd_sweeps=cpd.sweeps,
         cpd_stop=cpd.stop,

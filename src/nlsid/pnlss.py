@@ -10,8 +10,10 @@ The state nonlinearity may also be a decoupled form ``W g(V^T (x, u))`` (see
 :mod:`nlsid.decouple`), which is only another parametrisation of the same
 state equation.  :func:`fit_pnlss` refits either kind, with or without an
 output nonlinearity, through the maps' shared interface (flat parameters and
-derivatives in (x, u) and in the parameters); this is how reduced models are
-re-optimized in the model-pruning workflow.
+derivatives in (x, u) and in the parameters).  A model is reduced by one
+decoupling of its state polynomial on its own state trajectory and one
+refit; the branch constants are not free parameters, so the refit cannot
+trade them against an output offset the excited lines do not see.
 """
 
 from __future__ import annotations
@@ -24,16 +26,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bla import BlaModel
-from .decouple import DecoupledFunction
+from .decouple import DecoupledFunction, _initial_decoupling
 from .lm import levenberg_marquardt
-from .polybasis import MonomialPlan, PolyMap, enumerate_monomials, eval_monomials
+# eval_monomials stays a name of this module: the benchmark's tracer wraps it here
+from .polybasis import MonomialPlan, PolyMap, enumerate_monomials, eval_monomials  # noqa: F401
 from .signals import SignalRecord
 from .simulators import DIVERGENCE_LIMIT
 
 COST_TOL = 1e-9        # LM stops after three accepted steps below this relative drop
 GRAD_TOL = 1e-8        # ... or once the gradient's largest entry is below this
-NUM_DIRECTIONS = 720   # random unit directions tried by single_branch_init
-CHUNK = 64             # points or directions per batched step of single_branch_init
 SENS_BLOCK = 32        # samples per block of the sensitivity recursion (16..128 time alike)
 CHAIN_TERMS = 100      # terms per statement of a generated dot product
 
@@ -512,7 +513,8 @@ def fit_pnlss(init: PnlssModel, rec: SignalRecord, lines: np.ndarray,
     ----------
     init : PnlssModel
         Starting point (typically from :func:`init_linear_from_bla`, or a
-        reduced model from :func:`single_branch_init`).  It must simulate the
+        model whose E was decoupled by :func:`nlsid.decouple.decouple_approx`
+        or :func:`single_branch_init`).  It must simulate the
         record without divergence.  Its E may be a PolyMap, a decoupled
         ``W g(V^T (x, u))`` or absent, and its F a PolyMap or absent, in any
         combination.
@@ -526,8 +528,10 @@ def fit_pnlss(init: PnlssModel, rec: SignalRecord, lines: np.ndarray,
     Notes
     -----
     All of A, B, C, D, x0 and the parameters of E and F (PolyMap
-    coefficients; decoupled W, V and branch coefficients) are free.  A
-    decoupled E gets Marquardt's scaled damping ``diag(J^T J)``, since its
+    coefficients; decoupled W, V and branch coefficients of degree 1 and up)
+    are free.  The branch constants of a decoupled E are not free: the refit
+    returns them bit for bit (zero for a decoupled state polynomial, and
+    whatever a model file holds otherwise).  A decoupled E gets Marquardt's scaled damping ``diag(J^T J)``, since its
     parameter blocks carry very different scales; otherwise the damping is
     ``lam * I``.  Accepted steps strictly decrease the cost; a trial point
     whose simulation diverges is treated as infinite cost (step rejected,
@@ -549,7 +553,7 @@ def fit_pnlss_decoupled(init: PnlssModel, rec: SignalRecord, lines: np.ndarray,
                         weights: np.ndarray | None = None,
                         max_iterations: int = 300) -> tuple[PnlssModel, FitReport]:
     """:func:`fit_pnlss` for a model whose E is a decoupled
-    ``W g(V^T (x, u))``, as in the model-pruning workflow; it never adds maps.
+    ``W g(V^T (x, u))``, such as a reduced model; it never adds maps.
     """
     if not isinstance(init.e_map, DecoupledFunction):
         raise TypeError("init.e_map must be a DecoupledFunction")
@@ -590,121 +594,24 @@ def _fit(model: PnlssModel, rec: SignalRecord, lines, weights,
 
 def single_branch_init(model: PnlssModel, z_traj: np.ndarray,
                        branch_degree: int = 5) -> PnlssModel:
-    """Best single-projection replacement of a PolyMap state nonlinearity.
+    """One-branch replacement of a PolyMap state nonlinearity: the model
+    with E replaced by its rank-1 decoupling start on the trajectory points
+    ``z_traj`` over (x, u).
 
-    Searches unit directions ``v`` over (x, u), least-squares fitting
-    ``E(z) ~ const + L z + P * [x^2 .. x^d]`` with ``x = v . z`` on the
-    supplied trajectory points, takes the best direction, collapses the power
-    block to rank one, and absorbs the linear remainder into A and B.  The
-    result is a PnlssModel with a one-branch DecoupledFunction state map,
-    meant as the starting point of a refit by :func:`fit_pnlss` (or
-    :func:`fit_pnlss_decoupled`), which may keep an output nonlinearity F.
-
-    The search tries ``NUM_DIRECTIONS`` seeded random directions, then a
-    shrinking local search around the best one: per radius, 40 seeded steps,
-    each taken when its direction fits better than the best so far.  It
-    scores a direction without touching the trajectory again.  The graded
-    monomial table of z up to degree d, whose first columns are ``[1, z]``,
-    is factored once as ``Q R`` (only R and ``Q^T E`` are formed, a chunk of
-    points at a time).  Since ``(v . z)^j`` is the sum over
-    ``|a| = j`` of ``multinom(a) v^a z^a``, the power columns of ``v`` are
-    ``Q R c(v)`` with ``c(v)`` those coefficients; with ``[1, z]`` fitted
-    exactly in the leading rows, the fit error is the part of ``E`` outside
-    span(Q) plus the least-squares residual of the rows of ``Q^T E`` below
-    ``[1, z]`` against ``R c(v)``: a problem as small as the monomial count.
-    Directions are scored in batches; the local search scores a radius's
-    remaining steps from the current best and moves to the first that beats
-    it, so it takes the same steps as one scored after the other.  The
-    returned model is fitted on the trajectory at the winning direction.
+    W and V come from the rank-1 CPD of E's Jacobians at the points, and the
+    branch coefficients of degree 1 to ``branch_degree`` from least squares
+    on E's values there (the start of :func:`nlsid.decouple.decouple_approx`,
+    without its refinement).  The branch constant is zero, since a state
+    polynomial has no constant term.  The result is meant as the starting
+    point of a refit by :func:`fit_pnlss`, which may keep an output
+    nonlinearity F.
     """
     if not isinstance(model.e_map, PolyMap):
         raise TypeError("model.e_map must be a PolyMap")
     if branch_degree < 2:
-        raise ValueError(f"branch_degree must be >= 2 (a power block), got {branch_degree}")
-    n = model.state_dim
+        raise ValueError(f"branch_degree must be >= 2 (a nonlinear branch), got {branch_degree}")
     z = np.atleast_2d(np.asarray(z_traj, dtype=float))
-    if z.shape[1] != n + 1:
-        raise ValueError(f"trajectory points must have {n + 1} columns")
-    e_vals = model.e_map.coefficients @ eval_monomials(model.e_map.basis, z).T  # (n, T)
-    e_vals = e_vals.T
-    rng = np.random.default_rng(0)
-    score = _direction_scorer(z, e_vals, branch_degree)
-
-    dirs = rng.standard_normal((NUM_DIRECTIONS, n + 1))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    scores = score(dirs)
-    first = int(np.argmin(scores))  # the first of equal scores, as a running minimum
-    best_score, best_v = scores[first], dirs[first]
-    # shrinking local search refines the winning direction
-    for radius in (0.3, 0.1, 0.03, 0.01, 0.003, 0.001):
-        steps = [rng.standard_normal(n + 1) for _ in range(40)]
-        while steps:
-            trials = []
-            for step in steps:
-                v = best_v + radius * step
-                v /= np.linalg.norm(v)
-                trials.append(v)
-            scores = score(np.array(trials))
-            better = np.flatnonzero(scores < best_score)
-            if not len(better):
-                break
-            k = better[0]
-            best_score, best_v = scores[k], trials[k]
-            steps = steps[k + 1 :]
-
-    x = z @ best_v
-    k_mat = np.concatenate([np.ones((len(z), 1)), z,
-                            np.stack([x**j for j in range(2, branch_degree + 1)], axis=1)],
-                           axis=1)
-    sol = np.linalg.lstsq(k_mat, e_vals, rcond=None)[0]
-    const = sol[0]                       # (n,) leftover offset
-    lin = sol[1 : n + 2].T               # (n, n+1)
-    powers = sol[n + 2 :].T              # (n, d-1) coefficients of x^2..x^d
-    u_svd, s_svd, vt_svd = np.linalg.svd(powers, full_matrices=False)
-    w = u_svd[:, 0]
-    coeffs = np.zeros(branch_degree + 1)
-    coeffs[2:] = s_svd[0] * vt_svd[0]
-    coeffs[0] = float(w @ const)         # rank-1 share of the offset
-    dec = DecoupledFunction(w[:, None], best_v[:, None], (coeffs,))
-    return replace(
-        model,
-        a=model.a + lin[:, :n],
-        b=model.b + lin[:, n],
-        e_map=dec,
-    )
-
-
-def _direction_scorer(z: np.ndarray, e_vals: np.ndarray, degree: int):
-    """Fit RMS of ``e_vals ~ [1, z, x^2 .. x^degree]`` with ``x = v . z``, as a
-    function of a batch of directions (n_dirs, n_vars) -> (n_dirs,), on one
-    QR of the monomial table of ``z`` (see :func:`single_branch_init`)."""
-    n_vars = z.shape[1]
-    plan = MonomialPlan(n_vars, degree)
-    m = plan.size
-    # the triangular factor of [table, E] holds R, Q^T E and, below them, E
-    # outside span(Q); it is built CHUNK points at a time and Q never formed
-    r_aug = np.zeros((0, m + e_vals.shape[1]))
-    for start in range(0, len(z), CHUNK):
-        rows = np.concatenate([plan.table(z[start : start + CHUNK]),
-                               e_vals[start : start + CHUNK]], axis=1)
-        r_aug = np.linalg.qr(np.concatenate([r_aug, rows]), mode="r")
-    r, g = r_aug[:m, :m], r_aug[:m, m:]
-    rest = float(np.sum(r_aug[m:, m:] ** 2))  # the same for every direction
-    size = e_vals.size
-    below = slice(n_vars + 1, None)  # rows of Q^T below the [1, z] block
-    g_low = g[below]
-    blocks = [(plan.degrees == j, r[below, plan.degrees == j]) for j in range(2, degree + 1)]
-
-    def score(dirs: np.ndarray) -> np.ndarray:
-        out = np.empty(len(dirs))
-        for start in range(0, len(dirs), CHUNK):
-            coef = plan.expansion(dirs[start : start + CHUNK])
-            # (chunk, rows, degree - 1): R times the coefficients of each power
-            block = np.stack([coef[:, cols] @ r_j.T for cols, r_j in blocks], axis=2)
-            qb = np.linalg.qr(block)[0]
-            resid = g_low - qb @ (qb.transpose(0, 2, 1) @ g_low)
-            out[start : start + CHUNK] = np.sum(resid**2, axis=(1, 2))
-        return np.sqrt((rest + out) / size)
-
-    return score
-
+    if z.shape[1] != model.state_dim + 1:
+        raise ValueError(f"trajectory points must have {model.state_dim + 1} columns")
+    dec, _ = _initial_decoupling(model.e_map, 1, branch_degree, z, model.e_map.values(z), 0)
+    return replace(model, e_map=dec)

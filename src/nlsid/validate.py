@@ -158,7 +158,7 @@ class ValidationReport:
     whiteness_pass: bool
     crosscorr_pass: bool
     domain_fraction_inside: float | None
-    extrapolation_flag: bool
+    extrapolation_flag: bool | None
 
     def to_dict(self) -> dict:
         return {
@@ -180,12 +180,11 @@ def validation_report(y: np.ndarray, yhat: np.ndarray, input_signal: np.ndarray,
     """Assemble the full validation summary for one model/record pair.
 
     Domain coverage is reported when both state clouds are given; otherwise
-    the coverage fields stay neutral (fraction None, flag False).
+    it is not checked, and both coverage fields are None.
     """
     resid = np.asarray(y, dtype=float) - np.asarray(yhat, dtype=float)
     tests = residual_tests(resid, input_signal, max_lag)
-    fraction = None
-    flag = False
+    fraction = flag = None
     if train_states is not None and test_states is not None:
         cov = domain_coverage(train_states, test_states)
         fraction = cov.fraction_inside

@@ -36,7 +36,7 @@ def test_worked_example_values():
 def test_exact_decoupling_of_worked_example():
     f = worked_example_map()
     res = decouple_exact(f, r=2, num_points=300, seed=0)
-    assert res.converged
+    assert res.cpd_converged
     pts = np.random.default_rng(5).uniform(-1, 1, (1000, 2))
     err = np.max(np.abs(eval_polymap(f, pts) - eval_decoupled(res.function, pts)))
     assert err < 1e-8
@@ -139,6 +139,31 @@ def test_d_params_w_block_is_the_branch_values():
     jac = d.d_params(p)
     for o in range(3):
         assert np.array_equal(jac[:, o, 2 * o : 2 * o + 2], d.branch_values(p))
+
+
+def test_params_leave_out_the_branch_constants():
+    rng = np.random.default_rng(24)
+    d = DecoupledFunction(rng.normal(size=(2, 3)), rng.normal(0.0, 0.6, size=(4, 3)),
+                          (rng.normal(size=6), rng.normal(size=3), rng.normal(size=5)))
+    theta = d.params
+    assert len(theta) == d.r * (2 + 4 + 5)
+    moved = d.with_params(theta + 0.1)
+    assert [c[0] for c in moved.branches] == [c[0] for c in d.branches]
+    # central differences of the values in each parameter
+    p = rng.uniform(-1.0, 1.0, (50, 4))
+    jac = d.d_params(p)
+    for k, step in enumerate(1e-6 * np.eye(len(theta))):
+        fd = (d.with_params(theta + step).values(p) - d.with_params(theta - step).values(p)) / 2e-6
+        np.testing.assert_allclose(jac[:, :, k], fd, rtol=1e-6, atol=1e-7)
+
+
+def test_decoupling_without_a_constant_term_has_zero_branch_constants():
+    # a PNLSS state polynomial: degrees 2 and 3 over (x1, x2, u)
+    basis = enumerate_monomials(3, 2, 3)
+    f = PolyMap(basis, np.random.default_rng(25).normal(size=(2, len(basis))))
+    for res in (decouple_approx(f, r=2, num_points=200, seed=0),
+                decouple_exact(f, r=1, num_points=200, seed=1)):
+        assert all(c[0] == 0.0 for c in res.function.branches)
 
 
 def test_eval_identity():
@@ -325,7 +350,7 @@ def assert_same_decoupling(res, reference):
     assert len(res.function.branches) == len(func.branches)
     for got, want in zip(res.function.branches, func.branches):
         assert np.array_equal(got, want)
-    assert (res.converged, res.cpd_error, res.cpd_sweeps, res.cpd_stop) == (
+    assert (res.cpd_converged, res.cpd_error, res.cpd_sweeps, res.cpd_stop) == (
         cpd.converged, cpd.rel_error, cpd.sweeps, cpd.stop)
 
 
@@ -397,7 +422,7 @@ def test_exact_below_the_rank_runs_one_cpd(monkeypatch):
 
     monkeypatch.setattr(D, "_cpd_error", counted)
     res = D.decouple_exact(rank_four_map(), r=3, seed=8)
-    assert not res.converged
+    assert not res.cpd_converged
     assert 0 < len(calls) <= 2000
 
 
@@ -405,7 +430,7 @@ def test_cpd_below_the_rank_stops_on_a_plateau():
     res = decouple_exact(rank_four_map(), r=3, seed=8)
     assert res.cpd_stop == "plateau"
     assert res.cpd_sweeps < 600
-    assert not res.converged
+    assert not res.cpd_converged
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -428,11 +453,19 @@ def test_approx_reports_cpd_that_misses_the_rank():
     # a generic rank-4 map cannot be decoupled exactly with one branch
     f = rank_four_map()
     res = decouple_approx(f, r=1, branch_degree=3, num_points=100, seed=8, restarts=0)
-    assert res.converged is False
+    assert res.cpd_converged is False
     assert np.isfinite(res.cpd_error) and res.cpd_error > 1e-8
     at_rank = decouple_approx(f, r=4, branch_degree=3, num_points=100, seed=8, restarts=0)
-    assert at_rank.converged is True
+    assert at_rank.cpd_converged is True
     assert at_rank.cpd_error <= 1e-8
+
+
+def test_cpd_converged_is_the_cpd_not_the_fit():
+    # at r = 4 > n_q the CPD of the Jacobians is exact but not unique, and
+    # the decoupled map misses the map's values
+    res = decouple_approx(rank_four_map(), r=4, num_points=300, seed=0)
+    assert res.cpd_converged
+    assert res.residual_max == pytest.approx(0.22, abs=0.01)
 
 
 def test_approx_with_given_points_cloud():

@@ -166,10 +166,11 @@ def test_validation_report_assembles_everything():
     assert len(rep.autocorr) == 20
     payload = rep.to_dict()
     assert payload["fit_percent"] == rep.fit_percent
-    # without state clouds the coverage fields stay neutral
+    # without state clouds the coverage is not checked, and says so
     rep2 = validation_report(y, yhat, u, max_lag=20)
     assert rep2.domain_fraction_inside is None
-    assert not rep2.extrapolation_flag
+    assert rep2.extrapolation_flag is None
+    assert rep2.to_dict()["extrapolation_flag"] is None
 
 
 def _gain_fit(rec: SignalRecord):
