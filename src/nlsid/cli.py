@@ -399,7 +399,8 @@ def _simulate_model(model_cfg_path: str, rec: signals.SignalRecord):
         return sim.y, model
     if "na" in payload:
         model = narx_mod.NarxModel.from_dict(payload)
-        res = narx_mod.simulate_free_run(model, rec.input, rec.output[: model.na])
+        lag = model.max_lag
+        res = narx_mod.simulate_free_run(model, rec.input, rec.output[lag - model.na : lag])
         if res.diverged:
             raise simulators.SimulationDiverged(res.divergence_index, np.inf)
         return res.y, model

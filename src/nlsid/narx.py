@@ -1,15 +1,17 @@
 """Polynomial NARX identification by linear least squares on the equation
-error, with one-step prediction and free-run simulation."""
+error, with one-step prediction and free-run simulation (the PNLSS step's
+generated recursion, which stops where an output or a fed-back lag is NaN or
+beyond ``DIVERGENCE_LIMIT``)."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
-from .polybasis import MonomialPlan, PolyMap, enumerate_monomials, eval_monomials
+from .polybasis import (MonomialPlan, PolyMap, enumerate_monomials, eval_monomials,
+                        step_kernel)
 from .signals import SignalRecord
 from .simulators import DIVERGENCE_LIMIT
 
@@ -159,43 +161,36 @@ def simulate_free_run(model: NarxModel, u: np.ndarray,
                       y_init: np.ndarray) -> FreeRunResult:
     """Recursive simulation feeding predicted outputs back into the regressors.
 
-    Divergence (a non-finite output or one beyond ``DIVERGENCE_LIMIT`` in
-    magnitude) truncates the run: remaining samples hold the last finite
-    value and the status records the index.  This is a status, not an
+    The step is :func:`~nlsid.polybasis.step_kernel`'s, with the output lags
+    as states; ``y_init`` holds ``y[max_lag - na : max_lag]``.  The run stops
+    at the first sample whose output, or a lag it was computed from, is NaN
+    or beyond ``DIVERGENCE_LIMIT`` in magnitude: the output holds ``y(t-1)``
+    from there on and the status records the index.  This is a status, not an
     exception, since unstable free runs are an expected failure mode of
     equation-error models.
     """
     u = np.asarray(u, dtype=float)
     y_init = np.asarray(y_init, dtype=float)
-    if len(y_init) != model.na:
-        raise ValueError(f"y_init must supply na = {model.na} samples")
-    n = len(u)
-    y = np.zeros(n)
+    na = model.na
+    if len(y_init) != na:
+        raise ValueError(f"y_init must supply na = {na} samples")
+    y = np.zeros(len(u))
     start = model.max_lag
-    # y_init occupies the na samples immediately preceding the first simulated one
-    if model.na > 0:
-        y[start - model.na : start] = y_init
+    y[start - na : start] = y_init
     basis = model.poly.basis
     plan = MonomialPlan(basis.n_vars, basis.degree_max)
     row = np.zeros(plan.size)
     row[plan.positions(basis)] = model.poly.coefficients[0]
-    row, levels = row.tolist(), plan.levels
-    # input columns of phi(t) for every simulated t; the output lags are fed back
-    u_cols = model.regressors(y, u, np.arange(start, n))[:, model.na :].tolist()
-    y_sim = y.tolist()
-    lags = y_init[::-1].tolist()
-    for t, u_col in enumerate(u_cols, start):
-        phi = lags + u_col
-        table = [1.0, *phi]
-        for level in levels:
-            table += [table[p] * phi[v] for p, v in level]
-        val = 0.0  # left to right, as the PNLSS step: sum() compensates on 3.12
-        for c, m in zip(row, table):
-            val += c * m
-        if not isfinite(val) or abs(val) > DIVERGENCE_LIMIT:
-            y = np.array(y_sim)
-            y[t:] = y[t - 1]
-            return FreeRunResult(y, True, t)
-        y_sim[t] = val
-        lags = [val, *lags][: model.na]
-    return FreeRunResult(np.array(y_sim), False, None)
+    m = basis.n_vars - na
+    shift = ("y", *(f"t{i}" for i in range(1, na)))[:na]  # y(t-1) <- y, y(t-i) <- y(t-i+1)
+    kernel = step_kernel(na, m, plan.levels, tuple(range(plan.size)), shift)
+    # input columns of phi(t) for every simulated t, one float each for one column
+    u_cols = model.regressors(y, u, np.arange(start, len(u)))[:, na:]
+    u_cols = (u_cols[:, 0] if m == 1 else u_cols).tolist()
+    ys, _, diverged = kernel(u_cols, y_init[::-1].tolist(), row.tolist(), DIVERGENCE_LIMIT)
+    y[start : start + len(ys)] = ys
+    if not diverged:
+        return FreeRunResult(y, False, None)
+    t = start + len(ys) - 1
+    y[t:] = y[t - 1] if t > 0 else 0.0
+    return FreeRunResult(y, True, t)

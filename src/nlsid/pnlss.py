@@ -18,9 +18,7 @@ trade them against an output offset the excited lines do not see.
 
 from __future__ import annotations
 
-import functools
 import warnings
-from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,15 +26,15 @@ import numpy as np
 from .bla import BlaModel
 from .decouple import DecoupledFunction, _initial_decoupling
 from .lm import levenberg_marquardt
+from .polybasis import MonomialPlan, PolyMap, enumerate_monomials, step_kernel
 # eval_monomials stays a name of this module: the benchmark's tracer wraps it here
-from .polybasis import MonomialPlan, PolyMap, enumerate_monomials, eval_monomials  # noqa: F401
+from .polybasis import eval_monomials  # noqa: F401
 from .signals import SignalRecord
 from .simulators import DIVERGENCE_LIMIT
 
 COST_TOL = 1e-9        # LM stops after three accepted steps below this relative drop
 GRAD_TOL = 1e-8        # ... or once the gradient's largest entry is below this
 SENS_BLOCK = 32        # samples per block of the sensitivity recursion (16..128 time alike)
-CHAIN_TERMS = 100      # terms per statement of a generated dot product
 
 
 @dataclass(frozen=True)
@@ -146,15 +144,11 @@ def simulate_pnlss(model: PnlssModel, u: np.ndarray,
     product with the table ``[1, z, monomials of z]`` of a
     :class:`MonomialPlan`; a decoupled E appends its branch outputs
     ``g_i(v_i . z)`` to the table, one Horner pass per branch, and W joins
-    the state rows.  The per-sample step is straight-line Python source,
-    generated and compiled once per model structure (:func:`_step_kernel`):
-    one product per plan entry, in plan order, and each dot product an
-    explicit left-to-right chain over the table columns its row uses (the
-    A, B, C, D columns, the E and F basis positions and the W columns); the
-    structural zeros of the table are left out.  The step runs on Python
-    floats, so its monomials are bit for bit those of the batched tables
-    behind the fit; coefficients reach it through ``.tolist()``, as a numpy
-    scalar would slow every product and warn on overflow.
+    the state rows.  The step is compiled once per model structure by
+    :func:`~nlsid.polybasis.step_kernel`; each dot product chains only the
+    columns its row uses (the A, B, C, D columns, the E and F basis positions
+    and the W columns).  Coefficients reach it through ``.tolist()``, as a
+    numpy scalar would slow every product and warn on overflow.
 
     The simulation stops at the first sample whose output or state is not
     within ``DIVERGENCE_LIMIT`` in magnitude (a NaN or an infinity fails
@@ -189,7 +183,8 @@ def simulate_pnlss(model: PnlssModel, u: np.ndarray,
         positions = plan.positions(f_map.basis)
         y_row[positions] += f_map.coefficients[0]
         out_cols = sorted({*linear, *positions})
-    kernel = _step_kernel(n, plan.levels, tuple(state_cols), tuple(out_cols), branch_degrees)
+    kernel = step_kernel(n, 1, plan.levels, tuple(out_cols), (tuple(state_cols),) * n,
+                         branch_degrees)
     params = [*y_row[out_cols].tolist(), *x_rows[:, state_cols].ravel().tolist(), *branch_params]
     ys, xs, diverged = kernel(u.tolist(), x, params, DIVERGENCE_LIMIT)
     y = np.zeros(t_len)
@@ -201,69 +196,6 @@ def simulate_pnlss(model: PnlssModel, u: np.ndarray,
         y[t:] = y[t - 1] if t > 0 else 0.0
         return PnlssSimResult(y, x_traj, True, t)
     return PnlssSimResult(y, x_traj, False, None)
-
-
-@functools.cache
-def _step_kernel(n: int, levels: tuple, state_cols: tuple, out_cols: tuple,
-                 branch_degrees: tuple):
-    """The simulation loop of one model structure, compiled from generated
-    source.
-
-    Local ``t{k}`` holds table entry ``k``: ``t0 = 1``, the states
-    ``t1..t{n}``, the input ``t{n+1}``, then the plan's monomials and the
-    branch outputs.  The generated ``kernel(u, x, params, limit)`` takes the
-    inputs and the start state as lists of floats, and ``params`` as the
-    output row's coefficients on ``out_cols``, each state row's on
-    ``state_cols``, then per branch its V column and its coefficients from
-    the top down; it returns the output and state samples as raw doubles and
-    whether the run diverged.
-    """
-    states = [f"t{i}" for i in range(1, n + 1)]
-    products = [pair for level in levels for pair in level]
-    size = n + 2 + len(products)
-    q = [f"q{j}" for j in out_cols]
-    a = [[f"a{i}_{j}" for j in state_cols] for i in range(n)]
-    branches = [([f"v{i}_{k}" for k in range(n + 1)], [f"c{i}_{j}" for j in range(deg + 1)])
-                for i, deg in enumerate(branch_degrees)]
-    params = q + [name for row in a for name in row]
-    for v, c in branches:
-        params += v + c
-
-    def chain(target, coefs, cols):
-        # target = 0.0 + c * t + ..., left to right; a long sum goes on in
-        # further statements, since the compiler recurses once per term
-        terms = [f"{p} * t{k}" for p, k in zip(coefs, cols)]
-        return [f"    {target} = " + " + ".join([target if start else "0.0",
-                                                *terms[start : start + CHAIN_TERMS]])
-                for start in range(0, len(terms), CHAIN_TERMS)]
-
-    body = [f"{', '.join(states)}, = x",
-            f"{', '.join(params)}, = params",
-            "t0 = 1.0",
-            "ys, xs = array('d'), array('d')",
-            "y_append, x_extend = ys.append, xs.extend",
-            f"for t{n + 1} in u:",
-            f"    x_extend(({', '.join(states)},))"]
-    body += [f"    t{k} = t{parent} * t{var + 1}"
-             for k, (parent, var) in enumerate(products, n + 2)]
-    body += chain("y", q, out_cols)
-    body += ["    y_append(y)",
-             "    if not (abs(y) <= limit"
-             + "".join(f" and abs({s}) <= limit" for s in states) + "):",
-             "        return ys, xs, True"]
-    for i, (v, c) in enumerate(branches):
-        horner = f"0.0 * s + {c[0]}"
-        for coef in c[1:]:
-            horner = f"({horner}) * s + {coef}"
-        body += chain("s", v, range(1, n + 2)) + [f"    t{size + i} = {horner}"]
-    for i, row in enumerate(a):
-        body += chain(f"x{i}", row, state_cols)
-    body += [f"    {', '.join(states)}, = {', '.join(f'x{i}' for i in range(n))},",
-             "return ys, xs, False"]
-    source = "def kernel(u, x, params, limit):\n" + "\n".join("    " + line for line in body)
-    namespace = {"array": array}
-    exec(compile(source, f"<simulate_pnlss step n={n}>", "exec"), namespace)
-    return namespace["kernel"]
 
 
 def _rational_fit_sk(omega: np.ndarray, g: np.ndarray, order: int,

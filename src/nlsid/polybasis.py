@@ -5,21 +5,24 @@ of degree ``d >= 2`` as one of degree ``d - 1`` times one variable.  Its
 exponents are the :class:`MonomialBasis` enumeration, its batch table gives
 :func:`eval_monomials` and, read at ``e - 1_j``, :func:`monomial_jacobian`;
 scaled by the multinomials, it expands powers ``(v . z)^j`` of a projection.
-The NARX simulation loop and the generated PNLSS step (one line per plan
-entry) make the same products in the same order on Python floats, so
-simulations, fit Jacobians and the decoupler see identical monomials.
-:class:`PolyMap` couples a basis with coefficients.
+:func:`step_kernel` generates the one per-sample recursion, of the NARX free
+run and of the PNLSS simulation alike; it makes the same products (one line
+per plan entry) in the same order on Python floats, so simulations, fit
+Jacobians and the decoupler see identical monomials.  :class:`PolyMap`
+couples a basis with coefficients.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_MONOMIALS = 10**7
+CHAIN_TERMS = 100      # terms per statement of a generated dot product
 
 
 def monomial_count(n_vars: int, d_min: int, d_max: int) -> int:
@@ -115,6 +118,79 @@ class MonomialPlan:
             table[:, start : start + len(level)] = table[:, parents] * z[:, variables]
             start += len(level)
         return table
+
+
+@functools.cache
+def step_kernel(n: int, m: int, levels: tuple, out_cols: tuple, state_rows: tuple,
+                branch_degrees: tuple = ()):
+    """The per-sample recursion of one polynomial model structure, compiled
+    from generated source: the PNLSS simulation's and the NARX free run's.
+
+    Local ``t{k}`` holds table entry ``k``: ``t0 = 1``, the ``n`` states, the
+    ``m`` inputs, one product per plan entry and the branch outputs.  The
+    output chains ``0.0 + q * t + ...`` left to right over ``out_cols``; a
+    state chains its ``state_rows`` columns, or copies ``"y"`` or ``"t{i}"``;
+    a branch appends ``g_i(v_i . (x, u))`` by Horner's rule.  The generated
+    ``kernel(u, x, params, limit)`` takes the inputs (floats for one input,
+    else rows), the start state and ``params``: the output's coefficients,
+    each chain's, then per branch its V column and its coefficients from the
+    top down.  It returns the output and state samples as raw doubles and
+    whether it stopped at an output that, or a state it came from, is not
+    within ``limit`` (NaN fails too).
+    """
+    states = [f"t{i}" for i in range(1, n + 1)]
+    inputs = [f"t{i}" for i in range(n + 1, n + m + 1)]
+    products = [pair for level in levels for pair in level]
+    size = n + m + 1 + len(products)
+    q = [f"q{j}" for j in out_cols]
+    a = {i: [f"a{i}_{j}" for j in row] for i, row in enumerate(state_rows)
+         if isinstance(row, tuple)}
+    branches = [([f"v{i}_{k}" for k in range(n + m)], [f"c{i}_{j}" for j in range(deg + 1)])
+                for i, deg in enumerate(branch_degrees)]
+    params = q + [name for row in a.values() for name in row]
+    for v, c in branches:
+        params += v + c
+
+    def names(items):
+        # a tuple display; the empty one of a model without states
+        return f"{', '.join(items)}," if items else "()"
+
+    def chain(target, coefs, cols):
+        # target = 0.0 + c * t + ..., left to right; a long sum goes on in
+        # further statements, since the compiler recurses once per term
+        terms = [f"{p} * t{k}" for p, k in zip(coefs, cols)]
+        return [f"    {target} = " + " + ".join([target if start else "0.0",
+                                                *terms[start : start + CHAIN_TERMS]])
+                for start in range(0, len(terms), CHAIN_TERMS)]
+
+    body = [f"{names(states)} = x",
+            f"{names(params)} = params",
+            "t0 = 1.0",
+            "ys, xs = array('d'), array('d')",
+            "y_append, x_extend = ys.append, xs.extend",
+            f"for {inputs[0] if m == 1 else names(inputs)} in u:",
+            f"    x_extend(({names(states)}))"]
+    body += [f"    t{k} = t{parent} * t{var + 1}"
+             for k, (parent, var) in enumerate(products, n + m + 1)]
+    body += chain("y", q, out_cols)
+    body += ["    y_append(y)",
+             "    if not (abs(y) <= limit"
+             + "".join(f" and abs({s}) <= limit" for s in states) + "):",
+             "        return ys, xs, True"]
+    for i, (v, c) in enumerate(branches):
+        horner = f"0.0 * s + {c[0]}"
+        for coef in c[1:]:
+            horner = f"({horner}) * s + {coef}"
+        body += chain("s", v, range(1, n + m + 1)) + [f"    t{size + i} = {horner}"]
+    for i, row in a.items():
+        body += chain(f"x{i}", row, state_rows[i])
+    new_states = [f"x{i}" if i in a else row for i, row in enumerate(state_rows)]
+    body += [f"    {names(states)} = {names(new_states)}",
+             "return ys, xs, False"]
+    source = "def kernel(u, x, params, limit):\n" + "\n".join("    " + line for line in body)
+    namespace = {"array": array}
+    exec(compile(source, f"<polynomial step n={n} m={m}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def enumerate_monomials(n_vars: int, d_min: int, d_max: int) -> MonomialBasis:

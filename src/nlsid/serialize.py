@@ -1,7 +1,8 @@
-"""File formats: SignalRecord CSV + JSON sidecar, fixed-precision JSON reports.
+"""File formats: SignalRecord CSV + JSON sidecar, JSON reports.
 
-All JSON emitted through :func:`write_json` renders floats with 17 significant
-digits so reruns of a deterministic computation produce byte-identical files.
+:func:`write_json` writes each float as its shortest round-trip repr and
+:func:`write_csv` at 17 significant digits; both read back to the same
+doubles, and reruns of a deterministic computation write byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from .signals import SignalRecord
 
 
 def _normalize(obj):
-    """Recursively convert numpy scalars/arrays and round-trip floats."""
+    """Recursively convert numpy scalars and arrays to Python values."""
     if isinstance(obj, dict):
         return {str(k): _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_normalize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_normalize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(f"{float(obj):.17g}")
+    if isinstance(obj, np.floating):
+        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -86,17 +87,10 @@ def read_signal_record(path_csv: str | Path) -> SignalRecord:
     )
 
 
-def write_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write aligned columns with a header row, floats at 17 significant digits."""
-    cells = [_format_column(column) for column in columns]
-    Path(path).write_text("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
-
-
-def _format_column(column) -> list[str]:
-    """One column's cells: floats at 17 significant digits, anything else by ``str``."""
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return [f"{v:.17g}" for v in column.tolist()]
-        column = column.tolist()
-    return [f"{float(v):.17g}" if isinstance(v, (float, np.floating)) else str(v)
-            for v in column]
+def write_csv(path: str | Path, header: list[str], columns: list) -> None:
+    """Write aligned columns with a header row: a column of floats at 17
+    significant digits, any other by ``str``."""
+    columns = [np.asarray(column) for column in columns]
+    row = ",".join("%.17g" if column.dtype.kind == "f" else "%s" for column in columns)
+    lines = [row % cells for cells in zip(*(column.tolist() for column in columns))]
+    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n")

@@ -9,7 +9,9 @@ import pytest
 
 import nlsid
 from nlsid.cli import main
-from nlsid.serialize import read_json, read_signal_record, write_signal_record
+from nlsid.narx import NarxModel, simulate_free_run
+from nlsid.polybasis import PolyMap, enumerate_monomials
+from nlsid.serialize import read_json, read_signal_record, write_json, write_signal_record
 from nlsid.signals import SignalRecord
 
 
@@ -265,6 +267,25 @@ def test_bla_and_fit_narx_flow(tmp_path):
     assert run_cli("validate", "--config", val_cfg, "--out", str(val_out)) == 0
     report = read_json(val_out / "validation.json")
     assert report["fit_percent"] > 80.0
+
+
+def test_validate_seeds_the_narx_free_run_with_the_samples_before_it(tmp_path):
+    # with nb > na the free run starts at max_lag, so y_init is the na
+    # samples just before it, not the first na of the record
+    rng = np.random.default_rng(11)
+    basis = enumerate_monomials(3, 0, 2)
+    model = NarxModel(1, 2, False, PolyMap(basis, 0.1 * rng.normal(size=(1, len(basis)))),
+                      ("y[t-1]", "u[t-1]", "u[t-2]"))
+    u = 0.5 * rng.normal(size=256)
+    y = simulate_free_run(model, u, y_init=np.array([0.3])).y
+    write_signal_record(tmp_path / "record.csv", SignalRecord(1.0, 256, 1, u, y))
+    write_json(tmp_path / "narx.json", model.to_dict())
+    cfg = write_config(tmp_path, "val.json", {
+        "schema_version": 1, "record": str(tmp_path / "record.csv"),
+        "model": str(tmp_path / "narx.json"), "max_lag": 10, "warmup": model.max_lag,
+    })
+    assert run_cli("validate", "--config", cfg, "--out", str(tmp_path / "val")) == 0
+    assert read_json(tmp_path / "val" / "validation.json")["rms_error"] == 0.0
 
 
 def test_fit_volterra_cli(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from nlsid.narx import NarxModel, fit_narx, predict_one_step, simulate_free_run
-from nlsid.polybasis import PolyMap, enumerate_monomials, eval_monomials
+from nlsid.polybasis import MonomialPlan, PolyMap, enumerate_monomials, eval_monomials
 from nlsid.signals import SignalRecord, design_multisine, flat_amplitude_spec, full_grid, random_phases
 from nlsid.simulators import NoiseSpec, default_duffing, simulate_duffing, steady_state_record
 
@@ -238,6 +238,86 @@ def test_free_run_reports_divergence_as_a_status(seed, na, nb, direct_term, degr
     else:
         assert res.divergence_index is None
         assert np.max(np.abs(res.y)) <= 1e6
+
+
+def reference_free_run_loop(model, u, y_init):
+    """The scalar loop the generated free run replaced: the monomial table
+    rebuilt as Python lists at every sample and summed left to right, with
+    only the new output checked against the divergence limit."""
+    u = np.asarray(u, dtype=float)
+    y = np.zeros(len(u))
+    start = model.max_lag
+    if model.na > 0:
+        y[start - model.na : start] = y_init
+    basis = model.poly.basis
+    plan = MonomialPlan(basis.n_vars, basis.degree_max)
+    row = np.zeros(plan.size)
+    row[plan.positions(basis)] = model.poly.coefficients[0]
+    row, levels = row.tolist(), plan.levels
+    u_cols = model.regressors(y, u, np.arange(start, len(u)))[:, model.na :].tolist()
+    y_sim = y.tolist()
+    lags = np.asarray(y_init, dtype=float)[::-1].tolist()
+    for t, u_col in enumerate(u_cols, start):
+        phi = lags + u_col
+        table = [1.0, *phi]
+        for level in levels:
+            table += [table[p] * phi[v] for p, v in level]
+        val = 0.0
+        for c, m in zip(row, table):
+            val += c * m
+        if not math.isfinite(val) or abs(val) > 1e6:
+            y = np.array(y_sim)
+            y[t:] = y[t - 1]
+            return y, True, t
+        y_sim[t] = val
+        lags = [val, *lags][: model.na]
+    return np.array(y_sim), False, None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), na=st.integers(0, 3), nb=st.integers(0, 3),
+       direct_term=st.booleans(), degree=st.integers(1, 3),
+       feedback=st.sampled_from([None, 0.9, 2.5]),
+       spike=st.sampled_from([None, np.nan, np.inf, -np.inf, 1e7]), at=st.integers(0, 59))
+def test_free_run_is_the_scalar_loop_bit_for_bit(seed, na, nb, direct_term, degree,
+                                                 feedback, spike, at):
+    if na + nb + int(direct_term) == 0:
+        direct_term = True
+    rng = np.random.default_rng(seed)
+    model = random_narx(rng, na, nb, direct_term, degree)
+    if feedback is not None and na > 0:
+        coeffs = model.poly.coefficients.copy()
+        coeffs[0, 1] = feedback  # the y(t-1) term
+        model = NarxModel(na, nb, direct_term, PolyMap(model.poly.basis, coeffs),
+                          model.regressor_layout)
+    u = 0.3 * rng.normal(size=60)
+    if spike is not None:
+        u[at] = spike
+    y_init = 0.1 * rng.normal(size=na)
+    res = simulate_free_run(model, u, y_init)
+    y, diverged, index = reference_free_run_loop(model, u, y_init)
+    assert np.array_equal(res.y, y)
+    assert (res.diverged, res.divergence_index) == (diverged, index)
+
+
+def test_initial_output_beyond_the_limit_stops_the_first_sample():
+    # y(t) = 0.1 y(t-1) + u(t-1): the lag is checked as the output is, so an
+    # initial output beyond the limit stops the run where the scalar loop
+    # went on from the output 2e5
+    rng = np.random.default_rng(10)
+    template = fit_narx(_record(rng.normal(size=50), rng.normal(size=50)), na=1, nb=2,
+                        degree=1, direct_term=False)
+    exps = [tuple(e) for e in template.poly.basis.exponents]
+    coeffs = np.zeros_like(template.poly.coefficients)
+    coeffs[0, exps.index((1, 0, 0))] = 0.1
+    coeffs[0, exps.index((0, 1, 0))] = 1.0
+    model = NarxModel(1, 2, False, PolyMap(template.poly.basis, coeffs),
+                      template.regressor_layout)
+    res = simulate_free_run(model, np.ones(6), y_init=np.array([2e6]))
+    assert (res.diverged, res.divergence_index) == (True, 2)
+    assert np.array_equal(res.y, [0.0, 2e6, 2e6, 2e6, 2e6, 2e6])
+    _, diverged, _ = reference_free_run_loop(model, np.ones(6), np.array([2e6]))
+    assert not diverged
 
 
 def test_duffing_free_run_and_extrapolation(duffing_narx):
