@@ -19,12 +19,13 @@ DIVERGENCE_LIMIT = 1e6
 
 
 class SimulationDiverged(RuntimeError):
-    """Raised when an integrated state exceeds the divergence limit."""
+    """Raised when a simulated output or state leaves the divergence limit or
+    is not finite."""
 
-    def __init__(self, step_index: int, value: float):
+    def __init__(self, step_index: int):
         self.step_index = step_index
-        super().__init__(f"state magnitude {value:.3g} exceeds {DIVERGENCE_LIMIT:.0e} "
-                         f"at step {step_index}")
+        super().__init__(f"an output or state exceeded {DIVERGENCE_LIMIT:.0e} in magnitude "
+                         f"or was not finite at step {step_index}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def simulate_duffing(params: DuffingParams, u: np.ndarray, fs: float,
             x1 += (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             x2 += (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         if not isfinite(x1) or abs(x1) > DIVERGENCE_LIMIT:
-            raise SimulationDiverged(i, abs(x1))
+            raise SimulationDiverged(i)
     y = _add_measurement_noise(y, noise)
     return SignalRecord(fs, len(u), 1, u, y, label="duffing")
 

@@ -10,6 +10,7 @@ import pytest
 import nlsid
 from nlsid.cli import main
 from nlsid.narx import NarxModel, simulate_free_run
+from nlsid.pnlss import PnlssModel
 from nlsid.polybasis import PolyMap, enumerate_monomials
 from nlsid.serialize import read_json, read_signal_record, write_json, write_signal_record
 from nlsid.signals import SignalRecord
@@ -56,11 +57,16 @@ def test_design_missing_seed_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value, message", [
     ("k_max", 200, "k_max"),          # past N/2 = 128
-    ("rms", "x", "could not convert"),
+    ("rms", "x", "'rms'"),
+    ("period_samples", 256.7, "'period_samples'"),
+    ("num_periods", "x", "'num_periods'"),
+    ("num_periods", 0, "'num_periods'"),
+    ("num_periods", 1.5, "'num_periods'"),
 ])
 def test_design_bad_excitation_value_exit_2(tmp_path, capsys, field, value, message):
     cfg = design_config()
-    cfg["excitation"] = dict(cfg["excitation"], period_samples=256, **{field: value})
+    cfg["excitation"] = dict(cfg["excitation"], period_samples=256)
+    (cfg if field == "num_periods" else cfg["excitation"])[field] = value
     path = write_config(tmp_path, "design.json", cfg)
     out = tmp_path / "o"
     assert run_cli("design", "--config", path, "--out", str(out)) == 2
@@ -75,6 +81,9 @@ TANKS_SYSTEM = {"type": "tanks", "k1": 0.5, "k2": 0.4, "k3": 0.3, "k4": 1.0,
 @pytest.mark.parametrize("system, noise, message", [
     (dict(TANKS_SYSTEM, spill_fraction=2.0), None, "spill_fraction"),
     (TANKS_SYSTEM, {"measurement_std": -1.0}, "nonnegative"),
+    ({k: v for k, v in TANKS_SYSTEM.items() if k != "k1"}, None, "'k1'"),
+    ({"type": "block_oriented", "structure": "wiener", "blocks": [{"a": [1.0, -0.3]}],
+      "nonlinearity": [0.0, 1.0]}, None, "'b'"),
 ])
 def test_simulate_bad_system_or_noise_value_exit_2(tmp_path, capsys, system, noise, message):
     cfg = write_config(tmp_path, "sim.json", simulate_config(system, noise=noise))
@@ -344,6 +353,8 @@ def test_decouple_cli_worked_polymap(tmp_path):
     ("num_points", -5),
     ("branch_degree", "x"),
     ("seed", "x"),
+    ("polymap", 5),
+    ("polymap", "no/such/polymap.json"),
 ])
 def test_decouple_bad_config_value_exit_2(tmp_path, capsys, field, value):
     from nlsid.polybasis import PolyMap
@@ -499,13 +510,83 @@ def test_pipeline_parses_the_record_once_per_pass(tmp_path, monkeypatch):
     assert (out / "pipeline_summary.json").read_bytes() != summary
 
 
-def test_pipeline_full_grid_exit_2_before_any_stage(tmp_path, capsys):
-    cfg_dict = dict(PIPE_CFG, excitation=dict(PIPE_CFG["excitation"], grid_kind="full"))
-    cfg = write_config(tmp_path, "pipe.json", cfg_dict)
+@pytest.mark.parametrize("overrides, message", [
+    ({"excitation": dict(PIPE_CFG["excitation"], grid_kind="full")}, "odd excitation grid"),
+    ({"max_lag": "x"}, "'max_lag'"),
+    ({"threshold_db": "x"}, "'threshold_db'"),
+    ({"discard_periods": -1}, "'discard_periods'"),
+    ({"fit": {"type": "narx", "na": "x", "nb": 1, "degree": 1}}, "'na'"),
+    ({"fit": {"type": "narx", "na": 1, "nb": 1, "degree": 0}}, "'degree'"),
+    ({"fit": {"type": "volterra", "memory": 0}}, "'memory'"),
+])
+def test_pipeline_bad_config_exit_2_before_any_stage(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, "pipe.json", dict(PIPE_CFG, **overrides))
     out = tmp_path / "run"
     assert run_cli("pipeline", "--config", cfg, "--out", str(out)) == 2
-    assert "odd excitation grid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, field", [
+    ("analyze", "spec"), ("fit-pnlss", "spec"), ("validate", "model"),
+])
+def test_missing_input_file_exit_2(tmp_path, capsys, command, field):
+    rng = np.random.default_rng(0)
+    write_signal_record(tmp_path / "rec.csv",
+                        SignalRecord(1.0, 64, 4, rng.normal(size=256), rng.normal(size=256)))
+    missing = str(tmp_path / "missing.json")
+    cfg = write_config(tmp_path, "c.json", {"schema_version": 1,
+                                            "record": str(tmp_path / "rec.csv"), field: missing})
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+    assert f"{field} {missing} does not load" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_validate_record_shorter_than_the_model_lags_exit_2(tmp_path, capsys):
+    basis = enumerate_monomials(5, 0, 1)
+    model = NarxModel(2, 2, True, PolyMap(basis, np.full((1, len(basis)), 0.1)),
+                      ("y[t-1]", "y[t-2]", "u[t]", "u[t-1]", "u[t-2]"))
+    write_json(tmp_path / "narx.json", model.to_dict())
+    write_signal_record(tmp_path / "rec.csv", SignalRecord(1.0, 1, 1, np.ones(1), np.ones(1)))
+    cfg = write_config(tmp_path, "val.json", {"schema_version": 1,
+                                              "record": str(tmp_path / "rec.csv"),
+                                              "model": str(tmp_path / "narx.json")})
+    out = tmp_path / "val"
+    assert run_cli("validate", "--config", cfg, "--out", str(out)) == 2
+    assert "record of 1 samples is too short for lag 2" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_fit_narx_lag_past_the_record_exit_2(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    write_signal_record(tmp_path / "rec.csv",
+                        SignalRecord(1.0, 64, 1, rng.normal(size=64), rng.normal(size=64)))
+    cfg = write_config(tmp_path, "narx.json", {"schema_version": 1,
+                                               "record": str(tmp_path / "rec.csv"),
+                                               "na": 64, "nb": 1, "degree": 1})
+    out = tmp_path / "narx"
+    assert run_cli("fit-narx", "--config", cfg, "--out", str(out)) == 2
+    assert "record of 64 samples is too short for lag 64" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_validate_divergence_names_the_step_and_no_value(tmp_path, capsys):
+    # an unstable linear model: the run stops where the state, still finite,
+    # passes 1e6, so a message that says "inf" would be false
+    model = PnlssModel(np.array([[1.5]]), np.array([1.0]), np.array([1.0]), 0.0, None, None,
+                       np.zeros(1))
+    write_json(tmp_path / "lin.json", model.to_dict())
+    rng = np.random.default_rng(0)
+    write_signal_record(tmp_path / "rec.csv",
+                        SignalRecord(1.0, 128, 1, rng.normal(size=128), rng.normal(size=128)))
+    cfg = write_config(tmp_path, "val.json", {"schema_version": 1,
+                                              "record": str(tmp_path / "rec.csv"),
+                                              "model": str(tmp_path / "lin.json"), "max_lag": 5})
+    assert run_cli("validate", "--config", cfg, "--out", str(tmp_path / "val")) == 4
+    err = capsys.readouterr().err
+    assert "at step " in err and "inf" not in err
 
 
 def test_missing_config_file_exit_2(tmp_path):
