@@ -23,8 +23,7 @@ from .polybasis import (MonomialBasis, PolyMap, enumerate_monomials,
 from .narx import NarxModel, fit_narx, predict_one_step, simulate_free_run
 from .pnlss import (FitReport, PnlssModel, fit_pnlss, fit_pnlss_decoupled,
                     init_linear_from_bla, simulate_pnlss, single_branch_init)
-from .volterra import (RegularizerSpec, VolterraModel, build_prior,
-                       eval_volterra, fit_volterra)
+from .volterra import RegularizerSpec, VolterraModel, eval_volterra, fit_volterra
 from .decouple import (DecoupledFunction, decouple_approx, decouple_exact,
                        eval_decoupled, to_polymap)
 from .validate import (ValidationReport, domain_coverage, fit_metric,

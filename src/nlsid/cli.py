@@ -50,7 +50,7 @@ def _field(config: dict, key: str, kind, default=_REQUIRED, minimum=None):
     finite number, returned as a float), ``bool``, ``str``, ``dict``, ``list``,
     or ``[kind]`` for a list of them; a boolean is not a number, and null is
     absent where ``default`` is None.  A missing required key, another type, a
-    non-finite number or an integer below ``minimum`` (0 or 1) is a config error."""
+    non-finite number or an integer below ``minimum`` is a config error."""
     if key not in config or (config[key] is None and default is None):
         if default is _REQUIRED:
             raise ConfigError(f"missing required config field '{key}'")
@@ -63,7 +63,8 @@ def _field(config: dict, key: str, kind, default=_REQUIRED, minimum=None):
     elif _fits(value, kind) and (minimum is None or value >= minimum):
         return float(value) if kind is float else value
     else:
-        expected = {0: "a nonnegative integer", 1: "a positive integer"}.get(minimum, _KINDS[kind])
+        expected = (_KINDS[kind] if minimum is None else {0: "a nonnegative integer",
+                    1: "a positive integer"}.get(minimum, f"an integer of at least {minimum}"))
     raise ConfigError(f"config field '{key}' must be {expected}, got {value!r}")
 
 
@@ -129,6 +130,19 @@ def _stage_record(config: dict, record: signals.SignalRecord | None) -> signals.
 def _check_longer(rec: signals.SignalRecord, max_lag: int) -> None:
     if len(rec.output) <= max_lag:
         raise ConfigError(f"record of {len(rec.output)} samples is too short for lag {max_lag}")
+
+
+def _check_retained(rec: signals.SignalRecord, discard: int) -> None:
+    if rec.num_periods - discard < 2:
+        raise ConfigError(f"config field 'discard_periods' ({discard}) must leave at least 2 of "
+                          f"the record's {rec.num_periods} periods")
+
+
+def _check_state_dim(spec: signals.MultisineSpec, state_dim: int) -> None:
+    lines = len(spec.excited_lines)
+    if lines < 2 * state_dim:
+        raise ConfigError(f"config field 'state_dim' ({state_dim}) needs at least 2 * state_dim "
+                          f"excited lines, the spec has {lines}")
 
 
 @_config_values
@@ -257,6 +271,7 @@ def cmd_analyze(config: dict, out: Path, seed_override: int | None,
     threshold = _field(config, "threshold_db", float, nonparam.DISTORTION_THRESHOLD_DB)
     smoothing_window = _field(config, "smoothing_window", int, None, minimum=1)
     rec = _stage_record(config, record)
+    _check_retained(rec, discard)
     spec = _load("spec", _field(config, "spec", str), signals.MultisineSpec.from_dict)
     _require_odd_grid(spec.grid_kind, "analyze")
     report = nonparam.classify_lines(spec, nonparam.sample_statistics(rec, discard))
@@ -283,6 +298,8 @@ def cmd_bla(config: dict, out: Path, seed_override: int | None,
     discard = _field(config, "discard_periods", int, 0, minimum=0)
     recs = records if records is not None else [
         _load("records", p) for p in _field(config, "records", [str])]
+    for rec in recs:
+        _check_retained(rec, discard)
     spec = _load("spec", _field(config, "spec", str), signals.MultisineSpec.from_dict)
     model = bla_mod.estimate_bla_spectral(recs, spec, discard)
     write_json(out / "bla.json", model.to_dict())
@@ -325,6 +342,7 @@ def cmd_fit_pnlss(config: dict, out: Path, seed_override: int | None,
     if len(paths) != 1:
         raise ConfigError("fit-pnlss fits one record: give 'record' or one entry in 'records'")
     spec = _load("spec", _field(config, "spec", str), signals.MultisineSpec.from_dict)
+    _check_state_dim(spec, fields["state_dim"])
     rec = record if record is not None else _load("record", paths[0])
     lin, frf_rms = pnlss.init_linear_from_bla(bla_mod.estimate_bla_spectral([rec], spec),
                                               fields.pop("state_dim"))
@@ -442,19 +460,23 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
     Each stage writes into its own subdirectory; manifest.json records a hash
     per stage, which covers the previous stage's hash, so a resumed run
     re-executes a missing or changed stage and every stage after it.
-    The pipeline's own fields and its ``fit`` object are read before the
-    first stage runs.  The stages after ``simulate`` share one parse of its
-    record, made when the first of them runs.  The analysis stage emits the
+    The pipeline's own fields, its ``excitation``, ``system`` and ``noise``
+    objects and its ``fit`` object are read before the first stage runs.
+    The stages after ``simulate`` share one parse of its record, made when
+    the first of them runs.  The analysis stage emits the
     linear-vs-nonlinear verdict.
     """
     _check_config(config, {"seed", "excitation", "system", "noise", "num_periods",
                            "discard_periods", "fit", "max_lag", "threshold_db"})
     seed = _seed(config, seed_override)
     excitation = _field(config, "excitation", dict)
-    _require_odd_grid(_field(excitation, "grid_kind", str, "full"), "pipeline")
+    spec = _build_spec(excitation, seed)
+    _require_odd_grid(spec.grid_kind, "pipeline")
     system = _field(config, "system", dict)
+    _build_system(system)
     noise = _field(config, "noise", dict, {})
-    num_periods = _field(config, "num_periods", int, 8, minimum=1)
+    _build_noise(noise, seed)
+    num_periods = _field(config, "num_periods", int, 8, minimum=2)
     discard = _field(config, "discard_periods", int, 2, minimum=0)
     threshold = _field(config, "threshold_db", float, 6.0)
     max_lag = _field(config, "max_lag", int, 40, minimum=1)
@@ -471,7 +493,9 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
         raise ConfigError(f"unknown fit type '{fit_type}'")
     fit_cmd, fit_fields, model_file, extra = fits[fit_type]
     fit_stage_cfg = {"schema_version": 1, "record": record_path, **extra, **fit_cfg}
-    fit_fields(fit_stage_cfg)
+    fields = fit_fields(fit_stage_cfg)
+    if fit_type == "pnlss":
+        _check_state_dim(spec, fields["state_dim"])
     manifest_path = out / "manifest.json"
     manifest = (_load("manifest", manifest_path, _json_object)
                 if (resume and manifest_path.exists()) else {})

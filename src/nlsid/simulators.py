@@ -39,8 +39,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.measurement_std < 0 or self.process_std < 0:
-            raise ValueError("noise standard deviations must be nonnegative")
+        for name in ("measurement_std", "process_std"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         if self.process_entry not in ("none", "before_nonlinearity"):
             raise ValueError("process_entry must be 'none' or 'before_nonlinearity'")
 

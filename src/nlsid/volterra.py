@@ -1,16 +1,17 @@
 """Regularized Volterra kernel estimation up to degree 2.
 
 The model is an NFIR polynomial: a DC offset, a linear kernel of length ``m``,
-and a symmetric quadratic kernel.  Estimation is ridge regression with
-smoothness/decay priors per kernel; hyperparameters are either fixed or picked
-on a log grid by marginal likelihood.
+and a symmetric quadratic kernel.  The estimate is the posterior mean under
+Gaussian smoothness/decay priors on the kernel values; their hyperparameters
+are either fixed or picked on a log grid by marginal likelihood.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -62,12 +63,14 @@ class VolterraModel:
 
 @dataclass(frozen=True)
 class RegularizerSpec:
-    """Decaying-correlated priors per kernel degree.
+    """Decaying-correlated covariances of the kernel values per degree.
 
     Each kernel direction gets ``P[i, j] = scale * decay^max(i,j) *
-    corr^|i-j|``; the degree-2 prior is the Kronecker product over the two lag
-    directions, symmetrized.  ``tuning='marginal_likelihood_grid'`` searches a
-    log grid around the given values.
+    corr^|i-j|``; the degree-2 covariance is the Kronecker product over the two
+    lag directions, ``sqrt(scale_2)`` each.  Neither depends on the record length
+    or the noise level.  ``tuning='marginal_likelihood_grid'`` searches a log
+    grid around the given values.  The bounds checked here make every fixed
+    prior and every grid candidate positive definite.
     """
 
     scale_1: float = 1.0
@@ -86,58 +89,33 @@ class RegularizerSpec:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name != "tuning" and (isinstance(value, bool)
-                                       or not isinstance(value, numbers.Real)):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
+                                       or not isinstance(value, numbers.Real)
+                                       or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if not isinstance(self.grid_points, numbers.Integral) or self.grid_points < 1:
             raise ValueError(f"grid_points must be a positive integer, got {self.grid_points!r}")
+        for name, ok, bound in (("scale", lambda v: v > 0, "positive"),
+                                ("decay", lambda v: 0 < v <= 1, "in (0, 1]"),
+                                ("corr", lambda v: abs(v) < 1, "in (-1, 1)")):
+            for key in (f"{name}_1", f"{name}_2"):
+                if not ok(getattr(self, key)):
+                    raise ValueError(f"{key} must be {bound} for a positive definite prior, "
+                                     f"got {getattr(self, key)!r}")
+        if self.grid_span < 1:
+            raise ValueError(f"grid_span must be at least 1, got {self.grid_span!r}")
 
 
 def decaying_correlation_matrix(m: int, scale: float, decay: float, corr: float) -> np.ndarray:
     """Single-direction prior ``P[i, j] = scale * decay^max(i,j) * corr^|i-j|``.
 
-    Positive definite for ``scale > 0``, ``0 < decay < 1`` and ``|corr| < 1``
+    ``P = scale * D T D`` with ``D = diag(decay^(i/2))`` and the Kac-Murdock-Szegő
+    matrix ``T[i, j] = (corr * sqrt(decay))^|i-j|``, so ``P`` is positive definite
+    exactly when ``scale > 0``, ``decay > 0`` and ``|corr| sqrt(decay) < 1``
     (diagonal for ``corr = 0``).
     """
     idx = np.arange(m)
     i, j = np.meshgrid(idx, idx, indexing="ij")
     return scale * decay ** np.maximum(i, j) * np.asarray(corr, dtype=float) ** np.abs(i - j)
-
-
-def build_prior(reg: RegularizerSpec, m: int, degree: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Prior covariances ``(P1, P2)`` for the degree-1 and degree-2 kernels.
-
-    ``P1`` is the decaying-correlated matrix; ``P2`` is the Kronecker product
-    of the two per-direction matrices, symmetrized under lag exchange.  Both
-    are checked for positive definiteness.
-    """
-    if min(reg.scale_1, reg.scale_2) <= 0 or min(reg.decay_1, reg.decay_2) <= 0:
-        raise ValueError("prior scales and decay rates must be positive")
-    p1 = decaying_correlation_matrix(m, reg.scale_1, reg.decay_1, reg.corr_1)
-    _check_spd(p1, "P1")
-    if degree < 2:
-        return p1, np.zeros((0, 0))
-    pa = decaying_correlation_matrix(m, np.sqrt(reg.scale_2), reg.decay_2, reg.corr_2)
-    full = np.kron(pa, pa)
-    perm = _lag_exchange_permutation(m)
-    p2 = 0.5 * (full + full[perm][:, perm])
-    _check_spd(p2, "P2")
-    return p1, p2
-
-
-def _lag_exchange_permutation(m: int) -> np.ndarray:
-    """Permutation mapping vec index (i, j) to (j, i) for an m x m kernel."""
-    idx = np.arange(m * m).reshape(m, m)
-    return idx.T.ravel()
-
-
-def _check_spd(p: np.ndarray, name: str) -> None:
-    eigmin = float(np.linalg.eigvalsh(p).min()) if p.size else 1.0
-    if eigmin <= 0.0:
-        raise ValueError(f"{name} is not positive definite (smallest eigenvalue {eigmin:.3e})")
-
-
-def _upper_index(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(m)
 
 
 def _regression_matrix(u: np.ndarray, m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -147,40 +125,25 @@ def _regression_matrix(u: np.ndarray, m: int, degree: int) -> tuple[np.ndarray, 
     lagged = np.stack([u[t - tau] for tau in range(m)], axis=1)  # (T, m)
     cols = [np.ones((len(t), 1)), lagged]
     if degree >= 2:
-        iu, ju = _upper_index(m)
+        iu, ju = np.triu_indices(m)
         quad = lagged[:, iu] * lagged[:, ju]
         quad[:, iu != ju] *= 2.0  # off-diagonal pairs appear twice in the kernel sum
         cols.append(quad)
     return np.concatenate(cols, axis=1), t
 
 
-def _upper_prior(p2: np.ndarray, m: int) -> np.ndarray:
-    """Penalty matrix S^T P2^-1 S for the upper-triangle parameterization.
-
-    ``S`` maps upper-triangle parameters to the full symmetric kernel vec
-    (unit weight on both (i,j) and (j,i)); the induced Gaussian prior on the
-    parameters has precision ``S^T P2^-1 S``.
-    """
-    iu, ju = _upper_index(m)
-    n_par = len(iu)
-    s = np.zeros((m * m, n_par))
-    flat = lambda i, j: i * m + j
-    for p, (i, j) in enumerate(zip(iu, ju)):
-        s[flat(i, j), p] = 1.0
-        if i != j:
-            s[flat(j, i), p] = 1.0
-    p2_inv = np.linalg.inv(p2)
-    return s.T @ p2_inv @ s
-
-
 def fit_volterra(rec, m: int, degree: int = 2,
                  reg: RegularizerSpec | None = None) -> VolterraModel:
-    """Fit Volterra kernels by regularized least squares (ridge regression).
+    """Fit Volterra kernels as the posterior mean under a Gaussian kernel prior.
 
-    Minimizes ``(1/N) sum (y - yhat)^2 + theta^T blockdiag(0, P1^-1, R2) theta``
-    in closed form, where ``R2`` is the degree-2 prior restricted to the
-    upper-triangle parameterization; the DC offset is unpenalized.  With
-    ``tuning='marginal_likelihood_grid'`` the prior scales and decays are
+    The kernel values have prior covariances ``P1`` and ``P2`` (see
+    :class:`RegularizerSpec`), the output noise variance ``sigma2``, and the
+    posterior mean is ``theta = (K^T K + sigma2 Pi)^-1 K^T y`` with the prior
+    precision ``Pi = blockdiag(0, P1^-1, S^T P2^-1 S)``: ``S`` maps the
+    upper-triangle degree-2 parameters to the symmetric kernel, and the DC
+    offset is unpenalized.  ``sigma2`` is the residual variance of a lightly
+    regularized pilot fit and is reported as ``hyper['noise_variance']``.
+    With ``tuning='marginal_likelihood_grid'`` the prior scales and decays are
     selected on a fixed log grid by maximizing the marginal likelihood.
     """
     if degree not in (1, 2):
@@ -190,29 +153,43 @@ def fit_volterra(rec, m: int, degree: int = 2,
     y = rec.output[t]
     n, n_par = k.shape
     if n < 5 * n_par:
-        warnings.warn(
-            f"{n} samples for {n_par} parameters is short even with "
-            "regularization", stacklevel=2,
-        )
+        warnings.warn(f"{n} samples for {n_par} parameters is short even with "
+                      "regularization", stacklevel=2)
     ktk = k.T @ k
     kty = k.T @ y
+    # noise level from a lightly regularized pilot fit
+    pilot = np.linalg.solve(ktk / n + 1e-6 * np.eye(n_par), kty / n)
+    sigma2 = float(np.mean((y - k @ pilot) ** 2))
+    sigma2 = max(sigma2, 1e-12 * float(np.mean(y**2)) + 1e-300)
     if reg.tuning == "fixed":
-        pen, hyper = _penalty_matrix(reg, m, degree), _hyper_dict(reg)
+        pen, hyper = _precision(*_precision_blocks(reg, m, degree), m), _hyper_dict(reg)
     else:
-        pen, hyper = _grid_search(k, y, ktk, kty, reg, m, degree)
-    theta = np.linalg.solve(ktk / n + pen, kty / n)
+        pen, hyper = _grid_search(k, y, ktk, kty, sigma2, reg, m, degree)
+    hyper["noise_variance"] = sigma2
+    theta = np.linalg.solve(ktk + sigma2 * pen, kty)
     return _model_from_theta(theta, m, degree, hyper)
 
 
-def _prior_blocks(reg: RegularizerSpec, m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two penalty blocks of a prior: ``P1^-1`` and the upper-triangle
-    ``S^T P2^-1 S`` (empty at degree 1)."""
-    p1, p2 = build_prior(reg, m, degree)
-    upper = _upper_prior(p2, m) if degree >= 2 else np.zeros((0, 0))
-    return np.linalg.inv(p1), upper
+def _precision_blocks(reg: RegularizerSpec, m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two blocks of a prior precision: ``P1^-1`` and the upper-triangle
+    ``S^T P2^-1 S`` (empty at degree 1).
+
+    With ``P2 = Pa (x) Pa`` and ``B = Pa^-1``, entry ``(p, q)`` of
+    ``S^T (B (x) B) S`` for ``p = (i, j)`` and ``q = (k, l)`` is
+    ``w_p w_q (B_ik B_jl + B_il B_jk)``, with ``w`` sqrt(2) off the diagonal
+    and sqrt(1/2) on it, so no m^2 x m^2 matrix is formed.
+    """
+    p1_inv = np.linalg.inv(decaying_correlation_matrix(m, reg.scale_1, reg.decay_1, reg.corr_1))
+    if degree < 2:
+        return p1_inv, np.zeros((0, 0))
+    b = np.linalg.inv(decaying_correlation_matrix(m, np.sqrt(reg.scale_2), reg.decay_2, reg.corr_2))
+    iu, ju = np.triu_indices(m)
+    w = np.where(iu == ju, np.sqrt(0.5), np.sqrt(2.0))
+    upper = (b[np.ix_(iu, iu)] * b[np.ix_(ju, ju)] + b[np.ix_(iu, ju)] * b[np.ix_(ju, iu)])
+    return p1_inv, np.outer(w, w) * upper
 
 
-def _assemble_penalty(p1_inv: np.ndarray, upper: np.ndarray, m: int) -> np.ndarray:
+def _precision(p1_inv: np.ndarray, upper: np.ndarray, m: int) -> np.ndarray:
     """``blockdiag(0, P1^-1, S^T P2^-1 S)``: the DC offset is unpenalized."""
     n_par = 1 + m + len(upper)
     pen = np.zeros((n_par, n_par))
@@ -221,17 +198,11 @@ def _assemble_penalty(p1_inv: np.ndarray, upper: np.ndarray, m: int) -> np.ndarr
     return pen
 
 
-def _penalty_matrix(reg: RegularizerSpec, m: int, degree: int) -> np.ndarray:
-    return _assemble_penalty(*_prior_blocks(reg, m, degree), m)
-
-
 def _marginal_loglik(k: np.ndarray, y: np.ndarray, ktk: np.ndarray, kty: np.ndarray,
                      yy: float, pen: np.ndarray, sigma2: float) -> float:
     """Gaussian evidence of y = K theta + e, theta ~ N(0, pen^-1), e ~ N(0, sigma2 I).
 
-    ``pen`` is the prior precision in the Bayesian sense.  The ridge cost
-    ``(1/N) sum e^2 + theta^T R theta`` corresponds to a prior precision of
-    ``R * N / sigma2``; callers tune R by passing that scaled matrix here.
+    ``pen`` is the prior precision, the same matrix the fit solves with.
     ``ktk``, ``kty`` and ``yy`` are ``K^T K``, ``K^T y`` and ``y^T y``, which
     do not depend on the prior.
 
@@ -256,52 +227,37 @@ def _marginal_loglik(k: np.ndarray, y: np.ndarray, ktk: np.ndarray, kty: np.ndar
 
 
 def _grid_search(k: np.ndarray, y: np.ndarray, ktk: np.ndarray, kty: np.ndarray,
-                 reg: RegularizerSpec, m: int, degree: int) -> tuple[np.ndarray, dict]:
+                 sigma2: float, reg: RegularizerSpec, m: int,
+                 degree: int) -> tuple[np.ndarray, dict]:
     """Pick ``(scale_1, decay_1, scale_2, decay_2)`` on a g x g x g x g grid by
     marginal likelihood, the first maximum in grid order; return the winner's
-    penalty and hyperparameters.
+    precision and hyperparameters.
 
-    A candidate's penalty is ``blockdiag(0, P1^-1, S^T P2^-1 S)``, where the
-    P1 block depends only on ``(scale_1, decay_1)`` and the P2 block only on
-    ``(scale_2, decay_2)``.  So the g^2 blocks of each kind are built once
-    (one :func:`build_prior` per grid pair gives both: g^2 + g^2 blocks,
-    against 2 g^4 when each candidate builds its own prior), ``y^T y`` is
-    formed once, and each of the g^4 candidates only assembles its two
-    blocks and evaluates the evidence.  At degree 1 the penalty has no P2
-    block, so only the g^2 candidates with the first ``(scale_2, decay_2)``
-    pair are evaluated: the others tie with them and the first of equal
-    maxima wins.
+    The P1 block of a candidate's precision depends only on ``(scale_1,
+    decay_1)`` and the P2 block only on ``(scale_2, decay_2)``, so the g^2
+    blocks of each kind are built once (one :func:`_precision_blocks` per grid
+    pair gives both) and each of the g^4 candidates only assembles its two.
+    At degree 1 there is no P2 block, so only the g^2 candidates with the
+    first ``(scale_2, decay_2)`` pair are evaluated: the others tie with them
+    and the first of equal maxima wins.
     """
-    from dataclasses import replace
-
-    n = len(y)
     yy = y @ y
-    # noise level from a lightly regularized pilot fit
-    pilot = np.linalg.solve(ktk / n + 1e-6 * np.eye(k.shape[1]), kty / n)
-    sigma2 = float(np.mean((y - k @ pilot) ** 2))
-    sigma2 = max(sigma2, 1e-12 * float(np.mean(y**2)) + 1e-300)
     g = reg.grid_points
     scales = np.geomspace(1.0 / reg.grid_span, reg.grid_span, g)
     decays = np.unique(np.clip(np.linspace(0.6, 0.95, g), 0.05, 0.99))
-    pairs = [(s, d) for s in scales for d in decays]
-    blocks = [_prior_blocks(replace(reg, scale_1=reg.scale_1 * s, decay_1=d,
-                                    scale_2=reg.scale_2 * s, decay_2=d), m, degree)
-              for s, d in pairs]
+    specs = [replace(reg, scale_1=reg.scale_1 * s, decay_1=d, scale_2=reg.scale_2 * s, decay_2=d)
+             for s in scales for d in decays]
+    blocks = [_precision_blocks(spec, m, degree) for spec in specs]
     best = (-np.inf, None, None)
-    p2_blocks = blocks if degree >= 2 else blocks[:1]
     for i, (p1_inv, _) in enumerate(blocks):
-        for j, (_, upper) in enumerate(p2_blocks):
-            pen = _assemble_penalty(p1_inv, upper, m)
-            ll = _marginal_loglik(k, y, ktk, kty, yy, pen * (n / sigma2), sigma2)
+        for j, (_, upper) in enumerate(blocks if degree >= 2 else blocks[:1]):
+            pen = _precision(p1_inv, upper, m)
+            ll = _marginal_loglik(k, y, ktk, kty, yy, pen, sigma2)
             if ll > best[0]:
                 best = (ll, (i, j), pen)
     ll, (i, j), pen = best
-    (s1, d1), (s2, d2) = pairs[i], pairs[j]
-    cand = replace(reg, scale_1=reg.scale_1 * s1, decay_1=d1,
-                   scale_2=reg.scale_2 * s2, decay_2=d2)
-    hyper = _hyper_dict(cand)
+    hyper = _hyper_dict(replace(specs[i], scale_2=specs[j].scale_2, decay_2=specs[j].decay_2))
     hyper["marginal_loglik"] = ll
-    hyper["noise_variance"] = sigma2
     return pen, hyper
 
 
@@ -317,7 +273,7 @@ def _model_from_theta(theta: np.ndarray, m: int, degree: int, hyper: dict) -> Vo
     h1 = theta[1 : 1 + m]
     h2 = np.zeros((m, m))
     if degree >= 2:
-        iu, ju = _upper_index(m)
+        iu, ju = np.triu_indices(m)
         h2[iu, ju] = theta[1 + m :]
         h2 = h2 + np.triu(h2, 1).T
     return VolterraModel(m, h0, h1, h2, hyper)

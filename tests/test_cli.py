@@ -401,6 +401,11 @@ def test_fit_narx_non_boolean_direct_term_exit_2(tmp_path, capsys, value):
     assert not (out / "narx.json").exists()
 
 
+def _volterra_fit(**regularizer):
+    return {"type": "volterra", "memory": 4,
+            "regularizer": {"tuning": "marginal_likelihood_grid", **regularizer}}
+
+
 PIPE_CFG = {
     "schema_version": 1,
     "seed": 11,
@@ -518,11 +523,43 @@ def test_pipeline_parses_the_record_once_per_pass(tmp_path, monkeypatch):
     ({"fit": {"type": "narx", "na": "x", "nb": 1, "degree": 1}}, "'na'"),
     ({"fit": {"type": "narx", "na": 1, "nb": 1, "degree": 0}}, "'degree'"),
     ({"fit": {"type": "volterra", "memory": 0}}, "'memory'"),
+    ({"fit": _volterra_fit(grid_span=0)}, "grid_span"),
+    ({"fit": _volterra_fit(grid_span=-2)}, "grid_span"),
+    ({"fit": _volterra_fit(scale_1=0)}, "scale_1"),
+    ({"fit": _volterra_fit(corr_1=2)}, "corr_1"),
+    ({"fit": _volterra_fit(decay_1=1, corr_1=1)}, "corr_1"),
+    ({"fit": {"type": "pnlss", "state_dim": 40}}, "'state_dim' (40)"),
+    ({"system": {k: v for k, v in TANKS_SYSTEM.items() if k != "k2"}}, "'k2'"),
+    ({"noise": {"measurement_std": -1}}, "measurement_std"),
+    ({"num_periods": 1}, "'num_periods' must be an integer of at least 2"),
 ])
 def test_pipeline_bad_config_exit_2_before_any_stage(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, "pipe.json", dict(PIPE_CFG, **overrides))
     out = tmp_path / "run"
     assert run_cli("pipeline", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("analyze", {"discard_periods": 3}, "'discard_periods' (3)"),
+    ("bla", {"discard_periods": 3}, "'discard_periods' (3)"),
+    ("fit-pnlss", {"state_dim": 40}, "'state_dim' (40)"),
+])
+def test_value_that_does_not_fit_the_data_exit_2(tmp_path, capsys, command, overrides, message):
+    # a 4-period record and a spec of 19 excited lines
+    design_out = tmp_path / "design"
+    design = {"schema_version": 1, "seed": 11, "excitation": PIPE_CFG["excitation"],
+              "num_periods": 4}
+    assert run_cli("design", "--config", write_config(tmp_path, "design.json", design),
+                   "--out", str(design_out)) == 0
+    record = str(design_out / "signal.csv")
+    cfg = {"schema_version": 1, "spec": str(design_out / "multisine.json"),
+           **({"records": [record]} if command == "bla" else {"record": record}), **overrides}
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", write_config(tmp_path, "c.json", cfg),
+                   "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert list(out.iterdir()) == []

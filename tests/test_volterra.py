@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
+from scipy.linalg import block_diag
 
-from nlsid.signals import SignalRecord
-from nlsid.volterra import (RegularizerSpec, VolterraModel, build_prior,
-                            decaying_correlation_matrix, eval_volterra,
-                            fit_volterra)
+from nlsid.signals import (SignalRecord, design_multisine, flat_amplitude_spec, odd_grid,
+                           random_phases)
+from nlsid.volterra import (RegularizerSpec, VolterraModel, decaying_correlation_matrix,
+                            eval_volterra, fit_volterra)
 
 
 def _record(u, y):
@@ -125,23 +126,54 @@ def test_prior_formula_three_by_three():
 
 
 def test_prior_degenerate_rejected():
-    reg = RegularizerSpec(decay_1=1.0, corr_1=1.0)
     with pytest.raises(ValueError, match="positive definite"):
-        build_prior(reg, m=4)
+        RegularizerSpec(decay_1=1.0, corr_1=1.0)
 
 
-def test_prior_spd():
-    p1, p2 = build_prior(RegularizerSpec(), m=6)
-    assert np.linalg.eigvalsh(p1).min() > 0
-    assert np.linalg.eigvalsh(p2).min() > 0
-    assert p2.shape == (36, 36)
-    # symmetric under lag exchange
-    perm = np.arange(36).reshape(6, 6).T.ravel()
-    assert np.allclose(p2, p2[perm][:, perm])
+@pytest.mark.parametrize("values, field", [
+    ({"scale_2": 0.0}, "scale_2"), ({"decay_1": 0.0}, "decay_1"), ({"decay_2": 1.01}, "decay_2"),
+    ({"corr_2": -1.0}, "corr_2"), ({"grid_span": 0.5}, "grid_span"),
+    ({"scale_1": float("inf")}, "scale_1"),
+])
+def test_regularizer_bounds_rejected(values, field):
+    with pytest.raises(ValueError, match=field):
+        RegularizerSpec(**values)
+
+
+def test_precision_at_the_bounds_is_positive_definite():
+    from nlsid.volterra import _precision_blocks
+
+    reg = RegularizerSpec(scale_1=1e-3, decay_1=1.0, corr_1=0.99,
+                          scale_2=1e3, decay_2=1.0, corr_2=-0.99)
+    for block in _precision_blocks(reg, 5, 2):
+        np.linalg.cholesky(block)
+
+
+def oracle_precision(reg, m):
+    """``blockdiag(0, inv(P1), S^T inv(Pa (x) Pa) S)``, with the m^2 x m^2
+    Kronecker covariance and the selection matrix S built entry by entry."""
+    p1 = decaying_correlation_matrix(m, reg.scale_1, reg.decay_1, reg.corr_1)
+    pa = decaying_correlation_matrix(m, np.sqrt(reg.scale_2), reg.decay_2, reg.corr_2)
+    iu, ju = np.triu_indices(m)
+    s = np.zeros((m * m, len(iu)))
+    for p, (i, j) in enumerate(zip(iu, ju)):
+        s[i * m + j, p] = s[j * m + i, p] = 1.0
+    return block_diag(0.0, np.linalg.inv(p1), s.T @ np.linalg.inv(np.kron(pa, pa)) @ s)
+
+
+def test_upper_precision_is_the_kronecker_oracle():
+    from nlsid.volterra import _precision, _precision_blocks
+
+    for m in (3, 6):
+        for reg in (RegularizerSpec(), RegularizerSpec(scale_2=0.3, decay_2=0.7, corr_2=-0.6)):
+            pen = _precision(*_precision_blocks(reg, m, 2), m)
+            ref = oracle_precision(reg, m)
+            assert np.abs(pen - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_ridge_identity_on_small_instance():
-    # closed-form fit equals an independently assembled dense ridge solve
+    # the fit is the posterior mean (K^T K + sigma2 Pi)^-1 K^T y, with the
+    # precision Pi assembled independently and sigma2 the reported noise variance
     rng = np.random.default_rng(6)
     m, n = 4, 512
     u = rng.normal(size=n)
@@ -149,12 +181,25 @@ def test_ridge_identity_on_small_instance():
     reg = RegularizerSpec()
     model = fit_volterra(_record(u, y), m=m, degree=2, reg=reg)
 
-    from nlsid.volterra import _penalty_matrix, _regression_matrix
+    from nlsid.volterra import _regression_matrix
     k, t = _regression_matrix(u, m, 2)
-    pen = _penalty_matrix(reg, m, 2)
-    theta = np.linalg.solve(k.T @ k / len(t) + pen, k.T @ y[t] / len(t))
+    sigma2 = model.hyper["noise_variance"]
+    theta = np.linalg.solve(k.T @ k + sigma2 * oracle_precision(reg, m), k.T @ y[t])
     assert model.h0 == pytest.approx(theta[0], abs=1e-8)
     assert np.allclose(model.h1, theta[1 : 1 + m], atol=1e-8)
+
+
+@pytest.mark.parametrize("tuning", ["fixed", "marginal_likelihood_grid"])
+def test_static_gain_recovered_at_60_db_snr(tuning):
+    # the prior is a covariance of the kernel values: it must not shrink a
+    # well-measured static gain, whatever the record length and noise level
+    n, rms, gain = 2048, 0.4, 1.5
+    spec = flat_amplitude_spec(n, 1.0, odd_grid(n, 400), rms=rms, grid_kind="odd_only", seed=1)
+    u = design_multisine(random_phases(spec, 1))
+    y = gain * u + np.random.default_rng(0).normal(0, gain * rms * 1e-3, n)
+    model = fit_volterra(_record(u, y), m=6, degree=2, reg=RegularizerSpec(tuning=tuning))
+    assert model.h1[0] == pytest.approx(gain, rel=0.05)
+    assert model.hyper["noise_variance"] > 0
 
 
 def test_monotone_shrinkage():
@@ -209,10 +254,11 @@ def test_short_record_warns():
 
 def reference_grid_search(k, y, reg, m, degree):
     """Reference: the grid search that builds each candidate's prior and
-    forms K^T K, K^T y and y^T y inside every evidence evaluation."""
+    forms K^T K, K^T y and y^T y inside every evidence evaluation; the
+    winner's posterior mean is the fit."""
     from dataclasses import replace
 
-    from nlsid.volterra import _hyper_dict, _penalty_matrix
+    from nlsid.volterra import _hyper_dict, _precision, _precision_blocks
 
     def loglik(pen, sigma2):
         n, p = k.shape
@@ -243,12 +289,12 @@ def reference_grid_search(k, y, reg, m, degree):
                 for d2 in decays:
                     cand = replace(reg, scale_1=reg.scale_1 * s1, decay_1=d1,
                                    scale_2=reg.scale_2 * s2, decay_2=d2)
-                    pen = _penalty_matrix(cand, m, degree)
-                    ll = loglik(pen * (n / sigma2), sigma2)
+                    pen = _precision(*_precision_blocks(cand, m, degree), m)
+                    ll = loglik(pen, sigma2)
                     if ll > best[0]:
                         best = (ll, cand, pen)
     _, cand, pen = best
-    theta = np.linalg.solve(k.T @ k / n + pen, k.T @ y / n)
+    theta = np.linalg.solve(k.T @ k + sigma2 * pen, k.T @ y)
     hyper = _hyper_dict(cand)
     hyper["marginal_loglik"] = best[0]
     hyper["noise_variance"] = sigma2
