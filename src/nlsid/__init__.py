@@ -15,19 +15,17 @@ from .simulators import (BlockOrientedSpec, DuffingParams, LinearBlock,
                          simulate_block_oriented, simulate_duffing,
                          simulate_static, simulate_tanks)
 from .nonparam import (DistortionReport, ProcessNoiseReport, classify_lines,
-                       detect_process_noise, output_frequency_set,
-                       sample_statistics)
-from .bla import BlaModel, bla_shift_study, estimate_bla_spectral, stochastic_residual
+                       detect_process_noise, sample_statistics)
+from .bla import BlaModel, bla_shift_study, estimate_bla_spectral
 from .polybasis import (MonomialBasis, PolyMap, enumerate_monomials,
                         eval_polymap, jacobian_polymap)
-from .narx import NarxModel, fit_narx, predict_one_step, simulate_free_run
+from .narx import NarxModel, fit_narx, simulate_free_run
 from .pnlss import (FitReport, PnlssModel, fit_pnlss, fit_pnlss_decoupled,
                     init_linear_from_bla, simulate_pnlss, single_branch_init)
 from .volterra import RegularizerSpec, VolterraModel, eval_volterra, fit_volterra
 from .decouple import (DecoupledFunction, decouple_approx, decouple_exact,
                        eval_decoupled, to_polymap)
 from .validate import (ValidationReport, domain_coverage, fit_metric,
-                       realization_variability, residual_tests,
-                       validation_report)
+                       residual_tests, validation_report)
 
 __version__ = "0.1.0"

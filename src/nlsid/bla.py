@@ -125,33 +125,6 @@ def estimate_bla_spectral(records: list[SignalRecord], spec: MultisineSpec,
 
 
 @dataclass(frozen=True)
-class StochasticResidual:
-    """Residual after removing the BLA response, with its input correlation."""
-
-    residual: np.ndarray
-    input_correlation: float
-
-
-def stochastic_residual(rec: SignalRecord, model: BlaModel) -> StochasticResidual:
-    """Stochastic nonlinear contribution ``y_s(t) = y(t) - G_bla(q) u(t)``.
-
-    The BLA is applied in the frequency domain on the excited lines of the
-    record (line ``k`` of the period grid maps to bin ``k * P`` of the full
-    record); all other bins of the linear response are zero.
-    """
-    n_total = rec.period_samples * rec.num_periods
-    bins = np.asarray(model.lines, dtype=int) * rec.num_periods
-    y_lin_bins = np.zeros(n_total, dtype=complex)
-    y_lin_bins[bins] = model.frf * np.fft.fft(rec.input)[bins]
-    y_lin_bins[n_total - bins] = np.conj(y_lin_bins[bins])
-    y_lin = np.fft.ifft(y_lin_bins).real
-    resid = rec.output - y_lin
-    denom = np.linalg.norm(resid) * np.linalg.norm(rec.input)
-    corr = float(resid @ rec.input / denom) if denom > 0 else 0.0
-    return StochasticResidual(resid, corr)
-
-
-@dataclass(frozen=True)
 class ShiftStudyRow:
     level_rms: float
     resonance_hz: float | None

@@ -198,9 +198,11 @@ def _build_noise(cfg: dict, seed: int) -> simulators.NoiseSpec:
 
 
 @_config_values
-def _build_system(cfg: dict):
+def _build_system(cfg: dict, noise: simulators.NoiseSpec):
+    """The simulator ``system(u, fs)`` that ``cfg`` names, applying ``noise``."""
     kind = _field(cfg, "type", str)
     if kind == "duffing":
+        simulators.reject_process_noise(noise, "Duffing")
         _check_keys(cfg, {"type", "c", "k1", "k3", "b", "oversample", "resonance_frac",
                           "damping_ratio", "hardening", "fs"}, "system")
         oversample = _field(cfg, "oversample", int, 16, minimum=1)
@@ -215,19 +217,20 @@ def _build_system(cfg: dict):
                 damping_ratio=_field(cfg, "damping_ratio", float, 0.05),
                 hardening=_field(cfg, "hardening", float, 1.0),
                 oversample=oversample)
-        return lambda u, fs, noise: simulators.simulate_duffing(params, u, fs, noise)
+        return lambda u, fs: simulators.simulate_duffing(params, u, fs, noise)
     if kind == "tanks":
+        simulators.reject_process_noise(noise, "tanks")
         _check_keys(cfg, {"type", "k1", "k2", "k3", "k4", "x1_max", "x2_max",
                           "spill_fraction", "oversample"}, "system")
         params = simulators.TanksParams(
             **{k: _field(cfg, k, float) for k in ("k1", "k2", "k3", "k4", "x1_max", "x2_max")},
             spill_fraction=_field(cfg, "spill_fraction", float, 0.5),
             oversample=_field(cfg, "oversample", int, 16, minimum=1))
-        return lambda u, fs, noise: simulators.simulate_tanks(params, u, fs, noise)
+        return lambda u, fs: simulators.simulate_tanks(params, u, fs, noise)
     if kind == "static":
         _check_keys(cfg, {"type", "coefficients"}, "system")
         coeffs = _field(cfg, "coefficients", [float])
-        return lambda u, fs, noise: simulators.simulate_static(coeffs, u, noise, fs)
+        return lambda u, fs: simulators.simulate_static(coeffs, u, noise, fs)
     if kind == "block_oriented":
         _check_keys(cfg, {"type", "structure", "blocks", "nonlinearity"}, "system")
         blocks = tuple(simulators.LinearBlock(tuple(_field(b, "b", [float])),
@@ -235,7 +238,7 @@ def _build_system(cfg: dict):
                        for b in _field(cfg, "blocks", [dict]))
         spec = simulators.BlockOrientedSpec(_field(cfg, "structure", str), blocks,
                                             tuple(_field(cfg, "nonlinearity", [float])))
-        return lambda u, fs, noise: simulators.simulate_block_oriented(spec, u, noise, fs)
+        return lambda u, fs: simulators.simulate_block_oriented(spec, u, noise, fs)
     raise ConfigError(f"unknown system type '{kind}'")
 
 
@@ -243,8 +246,8 @@ def cmd_simulate(config: dict, out: Path, seed_override: int | None) -> None:
     _check_config(config, {"system", "excitation", "input_csv", "num_periods", "discard_periods",
                            "noise", "seed"})
     seed = _seed(config, seed_override)
-    system = _build_system(_field(config, "system", dict))
     noise = _build_noise(_field(config, "noise", dict, {}), seed)
+    system = _build_system(_field(config, "system", dict), noise)
     num_periods = _field(config, "num_periods", int, 2, minimum=1)
     discard = _field(config, "discard_periods", int, 1, minimum=0)
     if "excitation" in config:
@@ -258,8 +261,7 @@ def cmd_simulate(config: dict, out: Path, seed_override: int | None) -> None:
         fs = rec_in.sample_rate_hz
     else:
         raise ConfigError("simulate needs either 'excitation' or 'input_csv'")
-    rec = simulators.steady_state_record(
-        lambda u, fs: system(u, fs, noise), u_period, fs, num_periods, discard)
+    rec = simulators.steady_state_record(system, u_period, fs, num_periods, discard)
     write_signal_record(out / "record.csv", rec)
 
 
@@ -473,9 +475,8 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
     spec = _build_spec(excitation, seed)
     _require_odd_grid(spec.grid_kind, "pipeline")
     system = _field(config, "system", dict)
-    _build_system(system)
     noise = _field(config, "noise", dict, {})
-    _build_noise(noise, seed)
+    _build_system(system, _build_noise(noise, seed))
     num_periods = _field(config, "num_periods", int, 8, minimum=2)
     discard = _field(config, "discard_periods", int, 2, minimum=0)
     threshold = _field(config, "threshold_db", float, 6.0)

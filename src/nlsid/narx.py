@@ -1,7 +1,7 @@
 """Polynomial NARX identification by linear least squares on the equation
-error, with one-step prediction and free-run simulation (the PNLSS step's
-generated recursion, which stops where an output or a fed-back lag is NaN or
-beyond ``DIVERGENCE_LIMIT``)."""
+error, with free-run simulation (the PNLSS step's generated recursion, which
+stops where an output or a fed-back lag is NaN or beyond
+``DIVERGENCE_LIMIT``)."""
 
 from __future__ import annotations
 
@@ -129,23 +129,6 @@ def fit_narx(rec: SignalRecord, na: int, nb: int, degree: int,
     poly = PolyMap(basis, theta[None, :])
     return NarxModel(na, nb, direct_term, poly, layout,
                      training_residual_rms=float(np.sqrt(np.mean(resid**2))))
-
-
-def predict_one_step(model: NarxModel, rec: SignalRecord) -> np.ndarray:
-    """One-step-ahead prediction using measured past outputs.
-
-    The first ``max_lag`` samples cannot be predicted and are returned as NaN.
-    """
-    y = rec.output
-    u = rec.input
-    if len(y) <= model.max_lag:
-        raise ValueError("record shorter than the maximum lag")
-    t = np.arange(model.max_lag, len(y))
-    phi = model.regressors(y, u, t)
-    pred = eval_monomials(model.poly.basis, phi) @ model.poly.coefficients[0]
-    out = np.full(len(y), np.nan)
-    out[t] = pred
-    return out
 
 
 @dataclass(frozen=True)

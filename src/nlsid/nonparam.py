@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -148,23 +147,6 @@ def classify_lines(spec: MultisineSpec, stats: LineStatistics) -> DistortionRepo
         noise_floor=floor,
         stats=stats,
     )
-
-
-def output_frequency_set(excited, degree: int, max_harmonic: int | None = None) -> set[int]:
-    """Harmonics reachable by a degree-``degree`` static nonlinearity.
-
-    All combinations ``|k_1 +- k_2 ... +- k_degree|`` with ``k_i`` drawn (with
-    repetition) from the excited set; optionally clipped to ``[0, max_harmonic]``.
-    """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    signed = sorted({int(k) for k in excited} | {-int(k) for k in excited})
-    out = set()
-    for combo in product(signed, repeat=degree):
-        s = abs(sum(combo))
-        if max_harmonic is None or s <= max_harmonic:
-            out.add(s)
-    return out
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,9 @@ class SimulationDiverged(RuntimeError):
 @dataclass(frozen=True)
 class NoiseSpec:
     """Measurement noise v(t) at the output and process noise w(t) injected
-    before a static nonlinearity."""
+    before a static nonlinearity.  Process noise needs ``process_entry``
+    ``"before_nonlinearity"``; only the static and block-oriented simulators
+    apply it, and the Duffing and tanks simulators reject it."""
 
     measurement_std: float = 0.0
     process_std: float = 0.0
@@ -44,9 +46,17 @@ class NoiseSpec:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         if self.process_entry not in ("none", "before_nonlinearity"):
             raise ValueError("process_entry must be 'none' or 'before_nonlinearity'")
+        if self.process_std > 0 and self.process_entry == "none":
+            raise ValueError("process_std > 0 needs process_entry 'before_nonlinearity'")
 
 
 NO_NOISE = NoiseSpec()
+
+
+def reject_process_noise(noise: NoiseSpec, system: str) -> None:
+    """Raise for process noise, which the ``system`` simulator does not apply."""
+    if noise.process_std > 0:
+        raise ValueError(f"process_std must be 0: the {system} simulator applies no process noise")
 
 
 @dataclass(frozen=True)
@@ -98,12 +108,15 @@ def simulate_duffing(params: DuffingParams, u: np.ndarray, fs: float,
     ------
     SimulationDiverged
         If the displacement magnitude exceeds 1e6 (step index reported).
+    ValueError
+        If ``noise`` asks for process noise, which this simulator does not apply.
     """
     u = np.asarray(u, dtype=float)
     if fs <= 0:
         raise ValueError("fs must be positive")
     if not np.all(np.isfinite(u)):
         raise ValueError("input contains non-finite samples")
+    reject_process_noise(noise, "Duffing")
     c, k1, k3, b = float(params.c), float(params.k1), float(params.k3), float(params.b)
     h = 1.0 / (float(fs) * params.oversample)
     half_h = 0.5 * h
@@ -180,13 +193,15 @@ def simulate_tanks(params: TanksParams, u: np.ndarray, fs: float,
     exactly ``min(max(x, 0.0), x_max)``: both keep ``x`` unless a strict
     comparison holds, so NaN and -0.0 pass through unchanged.  The first
     stage needs no clamp, because the step before left the state clamped
-    (and clamping is idempotent).
+    (and clamping is idempotent).  Process noise is rejected: this simulator
+    does not apply it.
     """
     u = np.asarray(u, dtype=float)
     if fs <= 0:
         raise ValueError("fs must be positive")
     if not np.all(np.isfinite(u)):
         raise ValueError("input contains non-finite samples")
+    reject_process_noise(noise, "tanks")
     oversample = params.oversample
     h = 1.0 / (float(fs) * oversample)
     half_h = 0.5 * h

@@ -1,17 +1,14 @@
-"""Model validation: fit metric, residual correlation tests, domain-coverage
-checks, and repeated-realization variability for structural-error-aware
-uncertainty."""
+"""Model validation: fit metric, residual correlation tests and domain-coverage
+checks."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 MAX_VIOLATION_FRACTION = 0.10  # lags a passing correlation test may have outside the band
 EXTRAPOLATION_FRACTION = 0.10  # test states outside the training domain that raise the flag
-STRUCTURAL_ERROR_RATIO = 1.5   # median empirical/theory std ratio that flags structural error
 
 
 def fit_metric(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -199,86 +196,4 @@ def validation_report(y: np.ndarray, yhat: np.ndarray, input_signal: np.ndarray,
         crosscorr_pass=tests.crosscorr_pass,
         domain_fraction_inside=fraction,
         extrapolation_flag=flag,
-    )
-
-
-@dataclass(frozen=True)
-class VariabilityReport:
-    """Observed-vs-theoretical model variability over excitation realizations.
-
-    ``std_ratio`` above ~1 signals variance underestimated by the noise-only
-    formula, the signature of dominating structural model errors.
-    """
-
-    functional_values: np.ndarray  # (n_success, n_functional)
-    empirical_std: np.ndarray
-    theory_std: np.ndarray
-    std_ratio: np.ndarray
-    structural_error_flag: bool
-    num_requested: int
-    num_succeeded: int
-    failures: list
-    low_replication_warning: bool
-
-
-def realization_variability(fit_fn, excitation_factory, m: int,
-                            functional) -> VariabilityReport:
-    """Fit the same model structure on ``m`` independent excitation
-    realizations and compare the empirical scatter of a functional against the
-    noise-only theoretical prediction.
-
-    Parameters
-    ----------
-    fit_fn : callable
-        ``fit_fn(record) -> (model, theory_std)`` where ``theory_std`` is the
-        noise-only standard deviation of the functional (scalar or array
-        broadcastable to the functional's shape).
-    excitation_factory : callable
-        ``excitation_factory(seed) -> SignalRecord`` with an independent
-        excitation realization per seed.
-    m : int
-        Number of realizations, at least 5.
-    functional : callable
-        ``functional(model) -> scalar or 1-d array`` evaluated per fit.
-    """
-    if m < 5:
-        raise ValueError("need at least 5 realizations")
-    values = []
-    theory = []
-    failures = []
-    for seed in range(m):
-        try:
-            rec = excitation_factory(seed)
-            model, theory_std = fit_fn(rec)
-            values.append(np.atleast_1d(np.asarray(functional(model), dtype=float)))
-            theory.append(np.broadcast_to(np.asarray(theory_std, dtype=float),
-                                          values[-1].shape).copy())
-        except Exception as exc:  # a single fit failure is recorded, not fatal
-            failures.append((seed, repr(exc)))
-    if len(values) < 5:
-        raise RuntimeError(
-            f"only {len(values)} of {m} fits succeeded (need >= 5); "
-            f"first failure: {failures[0] if failures else 'n/a'}"
-        )
-    vals = np.stack(values)
-    emp_std = vals.std(axis=0, ddof=1)
-    th_std = np.mean(theory, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(th_std > 0, emp_std / th_std, np.inf)
-    low_rep = len(values) < 20
-    if low_rep:
-        warnings.warn(
-            f"variability estimated from only {len(values)} realizations; "
-            "confidence intervals are wide", stacklevel=2,
-        )
-    return VariabilityReport(
-        functional_values=vals,
-        empirical_std=emp_std,
-        theory_std=th_std,
-        std_ratio=ratio,
-        structural_error_flag=bool(np.median(ratio) > STRUCTURAL_ERROR_RATIO),
-        num_requested=m,
-        num_succeeded=len(values),
-        failures=failures,
-        low_replication_warning=low_rep,
     )

@@ -3,7 +3,8 @@
 The model is an NFIR polynomial: a DC offset, a linear kernel of length ``m``,
 and a symmetric quadratic kernel.  The estimate is the posterior mean under
 Gaussian smoothness/decay priors on the kernel values; their hyperparameters
-are either fixed or picked on a log grid by marginal likelihood.
+are either fixed or picked on a grid by marginal likelihood (scales on a log
+grid around the given ones, decays on a fixed linear grid).
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+
+MAX_GRID_POINTS = 9  # the grid search scores grid_points**4 candidates
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,12 @@ class RegularizerSpec:
     Each kernel direction gets ``P[i, j] = scale * decay^max(i,j) *
     corr^|i-j|``; the degree-2 covariance is the Kronecker product over the two
     lag directions, ``sqrt(scale_2)`` each.  Neither depends on the record length
-    or the noise level.  ``tuning='marginal_likelihood_grid'`` searches a log
-    grid around the given values.  The bounds checked here make every fixed
-    prior and every grid candidate positive definite.
+    or the noise level.  ``tuning='marginal_likelihood_grid'`` tries, for each
+    degree, the given scale times each of ``geomspace(1/grid_span, grid_span,
+    grid_points)`` with each decay of ``linspace(0.6, 0.95, grid_points)``;
+    the given decays are not used there, and the correlations stay as given.
+    The bounds checked here make every fixed prior and every grid candidate
+    positive definite, and cap the ``grid_points**4`` candidates at 6561.
     """
 
     scale_1: float = 1.0
@@ -92,8 +98,10 @@ class RegularizerSpec:
                                        or not isinstance(value, numbers.Real)
                                        or not math.isfinite(value)):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        if not isinstance(self.grid_points, numbers.Integral) or self.grid_points < 1:
-            raise ValueError(f"grid_points must be a positive integer, got {self.grid_points!r}")
+        if (not isinstance(self.grid_points, numbers.Integral)
+                or not 1 <= self.grid_points <= MAX_GRID_POINTS):
+            raise ValueError(f"grid_points must be an integer from 1 to {MAX_GRID_POINTS}, "
+                             f"got {self.grid_points!r}")
         for name, ok, bound in (("scale", lambda v: v > 0, "positive"),
                                 ("decay", lambda v: 0 < v <= 1, "in (0, 1]"),
                                 ("corr", lambda v: abs(v) < 1, "in (-1, 1)")):
@@ -144,7 +152,9 @@ def fit_volterra(rec, m: int, degree: int = 2,
     offset is unpenalized.  ``sigma2`` is the residual variance of a lightly
     regularized pilot fit and is reported as ``hyper['noise_variance']``.
     With ``tuning='marginal_likelihood_grid'`` the prior scales and decays are
-    selected on a fixed log grid by maximizing the marginal likelihood.
+    the candidates of :class:`RegularizerSpec`'s grid (scales a log grid
+    around the given ones, decays a fixed linear grid) that maximize the
+    marginal likelihood.
     """
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2 (higher kernels are out of scope)")

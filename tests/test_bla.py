@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
-from nlsid.bla import (BlaModel, bla_shift_study, estimate_bla_spectral,
-                       stochastic_residual)
+from nlsid.bla import BlaModel, bla_shift_study, estimate_bla_spectral
 from nlsid.signals import (SignalRecord, design_multisine, flat_amplitude_spec,
                            full_grid, random_phases, tile_periods)
-from nlsid.simulators import (NoiseSpec, default_duffing, simulate_duffing,
-                              simulate_static, steady_state_record)
+from nlsid.simulators import NoiseSpec, default_duffing, simulate_duffing, simulate_static
 
 
 def _realize(spec, seed, p=2):
@@ -94,52 +92,6 @@ def test_vanishing_input_line_rejected():
     bad_spec = flat_amplitude_spec(64, 1.0, (1, 3, 5, 7), rms=1.0)  # line 7 unexcited in data
     with pytest.raises(ValueError, match="line"):
         estimate_bla_spectral([rec], bad_spec)
-
-
-def test_stochastic_residual_linear_system_vanishes():
-    spec = flat_amplitude_spec(128, 1.0, full_grid(128, 50), rms=1.0)
-    b, a = (0.4, 0.3), (1.0, -0.5)
-    recs = _linear_records(spec, b, a, 1)
-    model = estimate_bla_spectral(recs, spec)
-    res = stochastic_residual(recs[0], model)
-    assert np.sqrt(np.mean(res.residual**2)) < 1e-8 * np.sqrt(np.mean(recs[0].output ** 2))
-
-
-def test_stochastic_residual_cubic_uncorrelated_but_dependent():
-    # the sample correlation of y_s with u shrinks with record length and line
-    # count; at this size its typical value sits well under the 0.02 bound
-    n, f = 65536, 2000
-    spec = flat_amplitude_spec(n, 1.0, full_grid(n, f), rms=1.0)
-    recs = []
-    for m in range(6):
-        u = _realize(spec, m)
-        y = simulate_static([0.0, 0.0, 0.0, 1.0], u).output
-        recs.append(SignalRecord(1.0, n, 2, u, y))
-    model = estimate_bla_spectral(recs, spec)
-    corrs, deps = [], []
-    for rec in recs[:4]:
-        res = stochastic_residual(rec, model)
-        corrs.append(abs(res.input_correlation))
-        ys2 = res.residual**2 - np.mean(res.residual**2)
-        u2 = rec.input**2 - np.mean(rec.input**2)
-        deps.append(ys2 @ u2 / (np.linalg.norm(ys2) * np.linalg.norm(u2)))
-    assert np.median(corrs) < 0.02   # uncorrelated with the input
-    assert np.median(deps) > 0.1     # but clearly dependent on it
-
-
-def test_stochastic_residual_zero_input():
-    n = 64
-    rng = np.random.default_rng(8)
-    y = rng.normal(size=2 * n)
-    rec = SignalRecord(1.0, n, 2, np.zeros(2 * n), y)
-    model = BlaModel(
-        lines=np.array([1, 3]), frequency_hz=np.array([1 / 64, 3 / 64]),
-        frf=np.array([1.0 + 0j, 1.0 + 0j]),
-        frf_variance_total=np.zeros(2), frf_variance_noise=np.zeros(2),
-        num_realizations=1, num_periods=2, sample_rate_hz=1.0, period_samples=n,
-    )
-    res = stochastic_residual(rec, model)
-    assert np.allclose(res.residual, y)
 
 
 def test_bla_serialization_round_trip():

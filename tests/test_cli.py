@@ -93,6 +93,23 @@ def test_simulate_bad_system_or_noise_value_exit_2(tmp_path, capsys, system, noi
     assert not (out / "record.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+@pytest.mark.parametrize("system, noise", [
+    ({"type": "static", "coefficients": [0.0, 1.0]}, {"process_std": 0.1}),
+    ({"type": "duffing", "fs": 128.0, "hardening": 1.0},
+     {"process_std": 0.1, "process_entry": "before_nonlinearity"}),
+    (TANKS_SYSTEM, {"process_std": 0.1, "process_entry": "before_nonlinearity"}),
+], ids=["static-entry-none", "duffing", "tanks"])
+def test_process_noise_no_simulator_applies_exit_2(tmp_path, capsys, command, system, noise):
+    base = simulate_config(system) if command == "simulate" else PIPE_CFG
+    cfg = write_config(tmp_path, "cfg.json", dict(base, system=system, noise=noise))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "process_std" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def _fit_volterra_exit_code(tmp_path, regularizer: dict) -> int:
     rng = np.random.default_rng(0)
     write_signal_record(tmp_path / "rec.csv",
@@ -532,6 +549,7 @@ def test_pipeline_parses_the_record_once_per_pass(tmp_path, monkeypatch):
     ({"system": {k: v for k, v in TANKS_SYSTEM.items() if k != "k2"}}, "'k2'"),
     ({"noise": {"measurement_std": -1}}, "measurement_std"),
     ({"num_periods": 1}, "'num_periods' must be an integer of at least 2"),
+    ({"fit": _volterra_fit(grid_points=10)}, "grid_points"),
 ])
 def test_pipeline_bad_config_exit_2_before_any_stage(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, "pipe.json", dict(PIPE_CFG, **overrides))

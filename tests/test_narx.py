@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
-from nlsid.narx import NarxModel, fit_narx, predict_one_step, simulate_free_run
+from nlsid.narx import NarxModel, fit_narx, simulate_free_run
 from nlsid.polybasis import MonomialPlan, PolyMap, enumerate_monomials, eval_monomials
 from nlsid.signals import SignalRecord, design_multisine, flat_amplitude_spec, full_grid, random_phases
 from nlsid.simulators import NoiseSpec, default_duffing, simulate_duffing, steady_state_record
@@ -17,6 +17,16 @@ FS = 200.0
 def _record(u, y, n=None, fs=1.0):
     n = n or len(u)
     return SignalRecord(fs, n, len(u) // n, u, y)
+
+
+def predict_one_step(model, rec):
+    """One-step-ahead prediction from the measured past outputs; the first
+    ``max_lag`` samples are NaN."""
+    t = np.arange(model.max_lag, len(rec.output))
+    pred = np.full(len(rec.output), np.nan)
+    pred[t] = (eval_monomials(model.poly.basis, model.regressors(rec.output, rec.input, t))
+               @ model.poly.coefficients[0])
+    return pred
 
 
 def test_linear_arx_exact_recovery():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from nlsid.nonparam import (classify_lines, detect_process_noise,
-                            output_frequency_set, sample_statistics)
+from nlsid.nonparam import classify_lines, detect_process_noise, sample_statistics
 from nlsid.signals import (MultisineSpec, SignalRecord, design_multisine,
                            flat_amplitude_spec, odd_grid,
                            odd_random_skip_grid, random_phases, tile_periods)
@@ -136,35 +135,6 @@ def test_noise_free_linear_detection_lines_clean():
     max_excited = np.max(report.magnitudes_of("excited"))
     for cls in ("odd_detection", "even"):
         assert np.max(report.magnitudes_of(cls), initial=0.0) < 1e-8 * max_excited
-
-
-def test_output_frequency_set_single_line():
-    assert output_frequency_set({1}, 3) == {1, 3}
-    assert output_frequency_set({1}, 2) == {0, 2}
-
-
-def test_output_frequency_set_two_lines():
-    assert output_frequency_set({1, 3}, 2) == {0, 2, 4, 6}
-
-
-def test_output_frequency_set_matches_bruteforce():
-    from itertools import product
-    excited = {1, 3, 5}
-    alpha = 3
-    signed = [k for k in excited] + [-k for k in excited]
-    brute = {abs(sum(c)) for c in product(signed, repeat=alpha)}
-    assert output_frequency_set(excited, alpha) == brute
-
-
-def test_output_frequency_set_clipping():
-    full = output_frequency_set({3, 5}, 3)
-    clipped = output_frequency_set({3, 5}, 3, max_harmonic=9)
-    assert clipped == {k for k in full if k <= 9}
-
-
-def test_output_frequency_set_rejects_zero_degree():
-    with pytest.raises(ValueError):
-        output_frequency_set({1}, 0)
 
 
 def _process_noise_record(n, p, input_dependent, seed, sigma=0.05):

@@ -395,3 +395,15 @@ def test_noise_spec_validation():
         NoiseSpec(measurement_std=-1.0)
     with pytest.raises(ValueError):
         NoiseSpec(process_entry="after")
+    with pytest.raises(ValueError, match="process_std"):
+        NoiseSpec(process_std=0.5)  # entry "none": no simulator would apply it
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda u, noise: simulate_duffing(default_duffing(FS), u, FS, noise),
+    lambda u, noise: simulate_tanks(TANKS, u, FS, noise),
+], ids=["duffing", "tanks"])
+def test_process_noise_rejected_where_not_applied(simulate):
+    u = np.random.default_rng(0).normal(0, 0.1, 64)
+    with pytest.raises(ValueError, match="process_std"):
+        simulate(u, NoiseSpec(process_std=0.5, process_entry="before_nonlinearity"))

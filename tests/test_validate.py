@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
-from nlsid.signals import SignalRecord
-from nlsid.validate import (domain_coverage, fit_metric,
-                            realization_variability, residual_tests,
+from nlsid.validate import (domain_coverage, fit_metric, residual_tests,
                             validation_report)
 
 
@@ -171,85 +169,3 @@ def test_validation_report_assembles_everything():
     assert rep2.domain_fraction_inside is None
     assert rep2.extrapolation_flag is None
     assert rep2.to_dict()["extrapolation_flag"] is None
-
-
-def _gain_fit(rec: SignalRecord):
-    """Linear-gain LS fit with its classical noise-only standard deviation."""
-    u, y = rec.input, rec.output
-    gain = float(u @ y / (u @ u))
-    resid = y - gain * u
-    sigma2 = float(resid @ resid) / (len(u) - 1)
-    theory_std = np.sqrt(sigma2 / float(u @ u))
-    return gain, theory_std
-
-
-def test_variability_linear_system_ratio_near_one():
-    def factory(seed):
-        rng = np.random.default_rng(seed)
-        u = rng.normal(size=2000)
-        y = 2.0 * u + rng.normal(0, 0.5, 2000)
-        return SignalRecord(1.0, 2000, 1, u, y)
-
-    def fit(rec):
-        gain, std = _gain_fit(rec)
-        return gain, std
-
-    rep = realization_variability(fit, factory, m=100, functional=lambda g: g)
-    assert 0.6 <= rep.std_ratio[0] <= 1.6
-    assert not rep.structural_error_flag
-
-
-def test_variability_cubic_ratio_sqrt_seven():
-    # linear-gain model on y = u^3: dependent residuals inflate the variance
-    # by 2n+1 = 7, i.e. the std by sqrt(7) ~ 2.65
-    def factory(seed):
-        rng = np.random.default_rng(seed)
-        u = rng.normal(size=4000)
-        return SignalRecord(1.0, 4000, 1, u, u**3)
-
-    def fit(rec):
-        gain, std = _gain_fit(rec)
-        return gain, std
-
-    rep = realization_variability(fit, factory, m=200, functional=lambda g: g)
-    ratio = rep.std_ratio[0]
-    assert np.sqrt(7.0) * 0.7 <= ratio <= np.sqrt(7.0) * 1.3
-    assert rep.structural_error_flag
-
-
-def test_variability_minimum_replications():
-    def factory(seed):
-        rng = np.random.default_rng(seed)
-        u = rng.normal(size=100)
-        return SignalRecord(1.0, 100, 1, u, u + rng.normal(0, 0.1, 100))
-
-    def fit(rec):
-        gain, std = _gain_fit(rec)
-        return gain, std
-
-    with pytest.warns(UserWarning, match="realizations"):
-        rep = realization_variability(fit, factory, m=5, functional=lambda g: g)
-    assert rep.low_replication_warning
-    with pytest.raises(ValueError):
-        realization_variability(fit, factory, m=4, functional=lambda g: g)
-
-
-def test_variability_tolerates_isolated_failures():
-    def factory(seed):
-        rng = np.random.default_rng(seed)
-        u = rng.normal(size=200)
-        return SignalRecord(1.0, 200, 1, u, 2.0 * u + rng.normal(0, 0.1, 200))
-
-    calls = {"n": 0}
-
-    def fit(rec):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise RuntimeError("synthetic failure")
-        gain, std = _gain_fit(rec)
-        return gain, std
-
-    with pytest.warns(UserWarning, match="realizations"):
-        rep = realization_variability(fit, factory, m=10, functional=lambda g: g)
-    assert rep.num_succeeded == 9
-    assert len(rep.failures) == 1

@@ -133,7 +133,8 @@ def test_prior_degenerate_rejected():
 @pytest.mark.parametrize("values, field", [
     ({"scale_2": 0.0}, "scale_2"), ({"decay_1": 0.0}, "decay_1"), ({"decay_2": 1.01}, "decay_2"),
     ({"corr_2": -1.0}, "corr_2"), ({"grid_span": 0.5}, "grid_span"),
-    ({"scale_1": float("inf")}, "scale_1"),
+    ({"scale_1": float("inf")}, "scale_1"), ({"grid_points": 10}, "grid_points"),
+    ({"grid_points": 0}, "grid_points"),
 ])
 def test_regularizer_bounds_rejected(values, field):
     with pytest.raises(ValueError, match=field):
