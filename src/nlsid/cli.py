@@ -33,6 +33,7 @@ from .serialize import (read_json, read_signal_record, write_csv, write_json,
                         write_signal_record)
 
 SCHEMA_VERSION = 1
+PIPELINE_WARMUP = 64  # samples the pipeline's validate stage leaves out
 _REQUIRED = object()
 
 
@@ -127,9 +128,16 @@ def _stage_record(config: dict, record: signals.SignalRecord | None) -> signals.
     return record if record is not None else _load("record", _field(config, "record", str))
 
 
-def _check_longer(rec: signals.SignalRecord, max_lag: int) -> None:
-    if len(rec.output) <= max_lag:
-        raise ConfigError(f"record of {len(rec.output)} samples is too short for lag {max_lag}")
+def _check_longer(samples: int, max_lag: int, source: str) -> None:
+    if samples <= max_lag:
+        raise ConfigError(f"record of {samples} samples is too short for lag {max_lag} ({source})")
+
+
+def _check_validated(samples: int, warmup: int, max_lag: int, after: str) -> None:
+    # the residual tests of validate need more than 10 * max_lag samples after the warmup
+    if samples - warmup <= 10 * max_lag:
+        raise ConfigError(f"config field 'max_lag' ({max_lag}) needs more than {10 * max_lag} "
+                          f"samples after {after}, the record has {samples}")
 
 
 def _check_retained(rec: signals.SignalRecord, discard: int) -> None:
@@ -274,6 +282,9 @@ def cmd_analyze(config: dict, out: Path, seed_override: int | None,
     smoothing_window = _field(config, "smoothing_window", int, None, minimum=1)
     rec = _stage_record(config, record)
     _check_retained(rec, discard)
+    if smoothing_window is not None and smoothing_window > rec.period_samples:
+        raise ConfigError(f"config field 'smoothing_window' ({smoothing_window}) must be at most "
+                          f"the record's period of {rec.period_samples} samples")
     spec = _load("spec", _field(config, "spec", str), signals.MultisineSpec.from_dict)
     _require_odd_grid(spec.grid_kind, "analyze")
     report = nonparam.classify_lines(spec, nonparam.sample_statistics(rec, discard))
@@ -323,7 +334,7 @@ def cmd_fit_narx(config: dict, out: Path, seed_override: int | None,
                  record: signals.SignalRecord | None = None) -> None:
     fields = _narx_fields(config)
     rec = _stage_record(config, record)
-    _check_longer(rec, max(fields["na"], fields["nb"]))
+    _check_longer(len(rec.output), max(fields["na"], fields["nb"]), "config fields 'na', 'nb'")
     write_json(out / "narx.json", narx_mod.fit_narx(rec, **fields).to_dict())
 
 
@@ -432,7 +443,6 @@ def _simulate(model, rec: signals.SignalRecord) -> np.ndarray:
         return y
     if isinstance(model, narx_mod.NarxModel):
         lag = model.max_lag
-        _check_longer(rec, lag)
         sim = narx_mod.simulate_free_run(model, rec.input, rec.output[lag - model.na : lag])
     else:
         sim = pnlss.simulate_pnlss(model, rec.input)
@@ -447,7 +457,11 @@ def cmd_validate(config: dict, out: Path, seed_override: int | None,
     warmup = _field(config, "warmup", int, 0, minimum=0)
     max_lag = _field(config, "max_lag", int, 40, minimum=1)
     rec = _stage_record(config, record)
-    y_sim = _simulate(_load("model", _field(config, "model", str), _model), rec)
+    model = _load("model", _field(config, "model", str), _model)
+    if isinstance(model, narx_mod.NarxModel):
+        _check_longer(len(rec.output), model.max_lag, "the model's maximum lag")
+    _check_validated(len(rec.output), warmup, max_lag, f"config field 'warmup' ({warmup})")
+    y_sim = _simulate(model, rec)
     report = validate.validation_report(rec.output[warmup:], y_sim[warmup:],
                                         rec.input[warmup:], max_lag)
     write_json(out / "validation.json", report.to_dict())
@@ -463,7 +477,8 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
     per stage, which covers the previous stage's hash, so a resumed run
     re-executes a missing or changed stage and every stage after it.
     The pipeline's own fields, its ``excitation``, ``system`` and ``noise``
-    objects and its ``fit`` object are read before the first stage runs.
+    objects and its ``fit`` object are read, and the record length checked
+    against a NARX fit's lags and ``max_lag``, before the first stage runs.
     The stages after ``simulate`` share one parse of its record, made when
     the first of them runs.  The analysis stage emits the
     linear-vs-nonlinear verdict.
@@ -497,6 +512,11 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
     fields = fit_fields(fit_stage_cfg)
     if fit_type == "pnlss":
         _check_state_dim(spec, fields["state_dim"])
+    samples = num_periods * spec.period_samples
+    if fit_type == "narx":
+        _check_longer(samples, max(fields["na"], fields["nb"]), "config fields 'na', 'nb'")
+    _check_validated(samples, PIPELINE_WARMUP, max_lag,
+                     f"the pipeline's {PIPELINE_WARMUP}-sample warmup")
     manifest_path = out / "manifest.json"
     manifest = (_load("manifest", manifest_path, _json_object)
                 if (resume and manifest_path.exists()) else {})
@@ -549,7 +569,7 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
 
     validate_cfg = {"schema_version": 1, "record": record_path,
                     "model": str(out / "fit" / model_file), "max_lag": max_lag,
-                    "warmup": 64}
+                    "warmup": PIPELINE_WARMUP}
     run_stage("validate", validate_cfg, ["validation.json", "correlations.csv"],
               lambda d: cmd_validate(validate_cfg, d, None, record()))
 

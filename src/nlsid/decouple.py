@@ -31,27 +31,32 @@ from .polybasis import (MonomialPlan, PolyMap, enumerate_monomials, eval_polymap
 class DecoupledFunction:
     """``q = W g(V^T p)`` with univariate polynomial branches.
 
-    ``branches[i]`` holds ascending coefficients of ``g_i``.  After
+    Row ``branches[i]`` holds the ascending coefficients of ``g_i``; rows
+    given with different lengths are zero-padded to the longest.  After
     canonicalization the V and W columns have unit norm, branch scales live in
     the coefficients, and branches are sorted by descending coefficient norm.
     """
 
     w: np.ndarray  # (n_q, r)
     v: np.ndarray  # (n_p, r)
-    branches: tuple[np.ndarray, ...]
+    branches: np.ndarray  # (r, degree + 1)
 
     def __post_init__(self):
         w = np.atleast_2d(np.asarray(self.w, dtype=float))
         v = np.atleast_2d(np.asarray(self.v, dtype=float))
-        if w.shape[1] != v.shape[1] or w.shape[1] != len(self.branches):
+        rows = [np.asarray(c, dtype=float) for c in self.branches]
+        if w.shape[1] != v.shape[1] or w.shape[1] != len(rows):
             raise ValueError("W, V and branches must agree on the branch count r")
         if w.shape[1] < 1:
             raise ValueError("need at least one branch (r >= 1)")
+        # rows of any lengths, zero-padded to the longest: a zero top
+        # coefficient leaves every Horner pass at the bits of the shorter row
+        branches = np.zeros((len(rows), max(len(c) for c in rows)))
+        for i, c in enumerate(rows):
+            branches[i, : len(c)] = c
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
-        object.__setattr__(
-            self, "branches", tuple(np.asarray(b, dtype=float) for b in self.branches)
-        )
+        object.__setattr__(self, "branches", branches)
 
     @property
     def r(self) -> int:
@@ -68,46 +73,23 @@ class DecoupledFunction:
     def branch_degrees(self) -> tuple[int, ...]:
         """Effective degree per branch: largest power whose coefficient is
         above ``BRANCH_REL_TOL`` of the largest (at least 1 by convention)."""
-        out = []
-        for c in self.branches:
-            scale = np.max(np.abs(c)) if len(c) else 0.0
-            deg = 1
-            for j in range(len(c) - 1, 0, -1):
-                if abs(c[j]) > BRANCH_REL_TOL * scale:
-                    deg = j
-                    break
-            out.append(deg)
-        return tuple(out)
+        c = np.abs(self.branches)
+        above = c[:, 1:] > BRANCH_REL_TOL * np.max(c, axis=1, initial=0.0)[:, None]
+        return tuple(int(np.flatnonzero(row)[-1]) + 1 if row.any() else 1 for row in above)
 
     def to_dict(self) -> dict:
-        return {
-            "W": self.w.tolist(),
-            "V": self.v.tolist(),
-            "branches": [b.tolist() for b in self.branches],
-        }
+        return {"W": self.w.tolist(), "V": self.v.tolist(), "branches": self.branches.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecoupledFunction":
-        return cls(
-            np.asarray(d["W"], dtype=float),
-            np.asarray(d["V"], dtype=float),
-            tuple(np.asarray(b, dtype=float) for b in d["branches"]),
-        )
+        return cls(d["W"], d["V"], d["branches"])
 
     # State-map interface, shared with polybasis.PolyMap: the PNLSS fit and
     # the refinement below read and write a map only through these.
 
-    def _coefficient_matrix(self) -> np.ndarray:
-        """Branch coefficients as rows of one (r, deg + 1) matrix, zero-padded
-        to the longest branch."""
-        cf = np.zeros((self.r, max(len(c) for c in self.branches)))
-        for i, c in enumerate(self.branches):
-            cf[i, : len(c)] = c
-        return cf
-
     @property
     def params(self) -> np.ndarray:
-        """Free parameters as one flat vector: W, V and the padded branch
+        """Free parameters as one flat vector: W, V and the branch
         coefficients of degree 1 and up, each row by row.
 
         The branch constants are part of the map but not free: a constant
@@ -116,18 +98,16 @@ class DecoupledFunction:
         from (zero for the decoupling of a map without a constant term).
         """
         return np.concatenate([self.w.ravel(), self.v.ravel(),
-                               self._coefficient_matrix()[:, 1:].ravel()])
+                               self.branches[:, 1:].ravel()])
 
     def with_params(self, theta: np.ndarray) -> "DecoupledFunction":
-        """The map with :attr:`params` replaced and its own branch constants;
-        branches come back padded."""
+        """The map with :attr:`params` replaced and its own branch constants."""
         (n_q, r), n_p = self.w.shape, self.n_inputs
         theta = np.asarray(theta, dtype=float)
         coeffs = theta[(n_q + n_p) * r :].reshape(r, -1)
-        constants = self._coefficient_matrix()[:, :1]
         return DecoupledFunction(theta[: n_q * r].reshape(n_q, r),
                                  theta[n_q * r : (n_q + n_p) * r].reshape(n_p, r),
-                                 tuple(np.concatenate([constants, coeffs], axis=1)))
+                                 np.concatenate([self.branches[:, :1], coeffs], axis=1))
 
     def values(self, p: np.ndarray) -> np.ndarray:
         """Values at a batch of points, shape (T, n_outputs)."""
@@ -142,10 +122,9 @@ class DecoupledFunction:
         the same branch outputs bit for bit.
         """
         x = self._branch_inputs(p)
-        cf = self._coefficient_matrix()  # zero top coefficients leave g at zero
         g = np.zeros_like(x)
-        for j in range(cf.shape[1] - 1, -1, -1):
-            g = g * x + cf[:, j]
+        for c in self.branches.T[::-1]:
+            g = g * x + c
         return g
 
     def _branch_inputs(self, p: np.ndarray) -> np.ndarray:
@@ -158,7 +137,7 @@ class DecoupledFunction:
     def _branch_terms(self, p: np.ndarray):
         """The powers ``x^j`` of the branch inputs (T, r, deg + 1) and the
         branch slopes ``g'(x)`` (T, r)."""
-        cf = self._coefficient_matrix()
+        cf = self.branches
         x = self._branch_inputs(p)
         powers = np.ones(x.shape + (cf.shape[1],))
         dg = np.zeros_like(x)
@@ -344,31 +323,26 @@ def canonicalize(d: DecoupledFunction) -> DecoupledFunction:
     branch's largest coefficient are positive, and branches are sorted by
     descending coefficient norm.
     """
-    w = d.w.copy()
-    v = d.v.copy()
-    coeffs = [c.copy() for c in d.branches]
-    r = d.r
-    for i in range(r):
+    w, v, coeffs = d.w.copy(), d.v.copy(), d.branches.copy()
+    powers = np.arange(coeffs.shape[1])
+    for i in range(d.r):
         sv = np.linalg.norm(v[:, i])
         if sv > 0:
             v[:, i] /= sv
-            coeffs[i] = coeffs[i] * sv ** np.arange(len(coeffs[i]))
+            coeffs[i] *= sv ** powers
         lead = np.argmax(np.abs(v[:, i]))
         if v[lead, i] < 0:
             v[:, i] = -v[:, i]
-            signs = (-1.0) ** np.arange(len(coeffs[i]))
-            coeffs[i] = coeffs[i] * signs  # g(x) -> g(-x)
+            coeffs[i] *= (-1.0) ** powers  # g(x) -> g(-x)
         sw = np.linalg.norm(w[:, i])
         if sw > 0:
             w[:, i] /= sw
-            coeffs[i] = coeffs[i] * sw
-        if len(coeffs[i]):
-            lead_c = np.argmax(np.abs(coeffs[i]))
-            if coeffs[i][lead_c] < 0:
-                coeffs[i] = -coeffs[i]
-                w[:, i] = -w[:, i]
+            coeffs[i] *= sw
+        if len(powers) and coeffs[i, np.argmax(np.abs(coeffs[i]))] < 0:
+            coeffs[i] = -coeffs[i]
+            w[:, i] = -w[:, i]
     order = np.argsort([-np.linalg.norm(c) for c in coeffs], kind="stable")
-    return DecoupledFunction(w[:, order], v[:, order], tuple(coeffs[i] for i in order))
+    return DecoupledFunction(w[:, order], v[:, order], coeffs[order])
 
 
 def decouple_exact(f: PolyMap, r: int, num_points: int = 500, seed: int = 0,
@@ -455,7 +429,7 @@ def _initial_decoupling(f: PolyMap, r: int, degree: int | None, pts: np.ndarray,
     design = DecoupledFunction(w, v, zeros).d_params(pts)[:, :, w.size + v.size :]
     coeffs = np.linalg.lstsq(design.reshape(-1, r * degree), (f_vals - w @ c0).ravel(),
                              rcond=None)[0]
-    return DecoupledFunction(w, v, tuple(np.column_stack([c0, coeffs.reshape(r, degree)]))), cpd
+    return DecoupledFunction(w, v, np.column_stack([c0, coeffs.reshape(r, degree)])), cpd
 
 
 def _result(f: PolyMap, func: DecoupledFunction, cpd: CpdResult,
@@ -498,13 +472,12 @@ def to_polymap(d: DecoupledFunction) -> PolyMap:
     """Expand ``W g(V^T p)`` into an explicit multivariate PolyMap.
 
     Exact by the multinomial theorem (:meth:`MonomialPlan.expansion`); the
-    result spans total degrees 0 through the longest branch's degree.  This
+    result spans total degrees 0 through the degree of ``d.branches``.  This
     is the adapter that lets a decoupled state polynomial replace the coupled
     map inside a state-space model.
     """
-    cf = d._coefficient_matrix()
-    basis = enumerate_monomials(d.n_inputs, 0, cf.shape[1] - 1)
+    basis = enumerate_monomials(d.n_inputs, 0, d.branches.shape[1] - 1)
     plan = MonomialPlan(d.n_inputs, basis.degree_max)
     # the basis is a prefix of the plan, which always holds degree 1
     m = len(basis)
-    return PolyMap(basis, d.w @ (cf[:, plan.degrees[:m]] * plan.expansion(d.v.T)[:, :m]))
+    return PolyMap(basis, d.w @ (d.branches[:, plan.degrees[:m]] * plan.expansion(d.v.T)[:, :m]))

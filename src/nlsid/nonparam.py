@@ -171,13 +171,17 @@ def detect_process_noise(rec: SignalRecord, smoothing_window: int | None = None,
     The periodic part of the output is removed by subtracting the per-index
     mean over periods; the remaining per-index variance is smoothed with a
     rectangular moving average (default window N/32) and its max/min ratio is
-    compared against ``threshold``.
+    compared against ``threshold``.  The average wraps around one period, so
+    the window is at most N samples.
     """
     if rec.num_periods < 4:
         raise ValueError(f"need at least 4 periods, have {rec.num_periods}")
     n = rec.period_samples
     if smoothing_window is None:
         smoothing_window = max(1, n // 32)
+    if not 1 <= smoothing_window <= n:
+        raise ValueError(f"smoothing_window must be from 1 to the period's {n} samples, "
+                         f"got {smoothing_window}")
     y = rec.output.reshape(rec.num_periods, n)
     resid = y - y.mean(axis=0)
     var = resid.var(axis=0, ddof=1)

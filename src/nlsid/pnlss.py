@@ -176,9 +176,8 @@ def simulate_pnlss(model: PnlssModel, u: np.ndarray,
     elif decoupled:
         x_rows[:, plan.size :] = e_map.w
         state_cols = [*linear, *range(plan.size, plan.size + e_map.r)]
-        for v, c in zip(e_map.v.T.tolist(), e_map.branches):
-            branch_params += v + c[::-1].tolist()
-        branch_degrees = tuple(len(c) - 1 for c in e_map.branches)
+        branch_params = np.hstack([e_map.v.T, e_map.branches[:, ::-1]]).ravel().tolist()
+        branch_degrees = (e_map.branches.shape[1] - 1,) * e_map.r
     if f_map is not None:
         positions = plan.positions(f_map.basis)
         y_row[positions] += f_map.coefficients[0]

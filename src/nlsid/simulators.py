@@ -111,12 +111,7 @@ def simulate_duffing(params: DuffingParams, u: np.ndarray, fs: float,
     ValueError
         If ``noise`` asks for process noise, which this simulator does not apply.
     """
-    u = np.asarray(u, dtype=float)
-    if fs <= 0:
-        raise ValueError("fs must be positive")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("input contains non-finite samples")
-    reject_process_noise(noise, "Duffing")
+    u = _continuous_input(u, fs, noise, "Duffing")
     c, k1, k3, b = float(params.c), float(params.k1), float(params.k3), float(params.b)
     h = 1.0 / (float(fs) * params.oversample)
     half_h = 0.5 * h
@@ -196,12 +191,7 @@ def simulate_tanks(params: TanksParams, u: np.ndarray, fs: float,
     (and clamping is idempotent).  Process noise is rejected: this simulator
     does not apply it.
     """
-    u = np.asarray(u, dtype=float)
-    if fs <= 0:
-        raise ValueError("fs must be positive")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("input contains non-finite samples")
-    reject_process_noise(noise, "tanks")
+    u = _continuous_input(u, fs, noise, "tanks")
     oversample = params.oversample
     h = 1.0 / (float(fs) * oversample)
     half_h = 0.5 * h
@@ -279,15 +269,7 @@ def simulate_static(poly: np.ndarray, u: np.ndarray, noise: NoiseSpec = NO_NOISE
     """
     u = np.asarray(u, dtype=float)
     rng = np.random.default_rng(noise.seed)
-    x = u.copy()
-    if noise.process_entry == "before_nonlinearity" and noise.process_std > 0:
-        x = x + rng.normal(0.0, noise.process_std, len(u))
-    y = np.zeros(len(u))
-    for i, a in enumerate(np.asarray(poly, dtype=float)):
-        if a != 0.0:
-            y += a * x**i
-    if noise.measurement_std > 0:
-        y = y + rng.normal(0.0, noise.measurement_std, len(u))
+    y = _add_measurement_noise(_polynomial(poly, u, noise, rng), noise, rng)
     return SignalRecord(fs, len(u), 1, u, y, label="static")
 
 
@@ -367,13 +349,7 @@ def simulate_block_oriented(spec: BlockOrientedSpec, u: np.ndarray,
     rng = np.random.default_rng(noise.seed)
 
     def nl(x):
-        if noise.process_entry == "before_nonlinearity" and noise.process_std > 0:
-            x = x + rng.normal(0.0, noise.process_std, len(x))
-        out = np.zeros(len(x))
-        for i, a in enumerate(spec.nonlinearity):
-            if a != 0.0:
-                out += a * x**i
-        return out
+        return _polynomial(spec.nonlinearity, x, noise, rng)
 
     if spec.structure == "wiener":
         y = nl(spec.blocks[0].apply(u))
@@ -386,7 +362,7 @@ def simulate_block_oriented(spec: BlockOrientedSpec, u: np.ndarray,
 
 
 def steady_state_record(simulate, u_period: np.ndarray, fs: float, num_periods: int,
-                        discard_periods: int = 1, **kwargs) -> SignalRecord:
+                        discard_periods: int = 1) -> SignalRecord:
     """Drive a simulator with a tiled periodic input and drop transient periods.
 
     ``simulate`` is called once on ``discard_periods + num_periods`` tiled
@@ -396,10 +372,33 @@ def steady_state_record(simulate, u_period: np.ndarray, fs: float, num_periods: 
     n = len(u_period)
     total = discard_periods + num_periods
     u_full = np.tile(np.asarray(u_period, dtype=float), total)
-    rec = simulate(u=u_full, fs=fs, **kwargs)
+    rec = simulate(u=u_full, fs=fs)
     keep = slice(discard_periods * n, total * n)
     return SignalRecord(fs, n, num_periods, rec.input[keep], rec.output[keep],
                         label=rec.label)
+
+
+def _continuous_input(u: np.ndarray, fs: float, noise: NoiseSpec, system: str) -> np.ndarray:
+    """The input of an RK4 simulator as floats, after the checks both share."""
+    u = np.asarray(u, dtype=float)
+    if fs <= 0:
+        raise ValueError("fs must be positive")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("input contains non-finite samples")
+    reject_process_noise(noise, system)
+    return u
+
+
+def _polynomial(coeffs, x: np.ndarray, noise: NoiseSpec, rng) -> np.ndarray:
+    """``sum_i a_i (x + w)^i`` for ascending ``coeffs``, with the process
+    noise ``w`` of ``noise`` drawn from ``rng`` (none when its std is 0)."""
+    if noise.process_std > 0:
+        x = x + rng.normal(0.0, noise.process_std, len(x))
+    out = np.zeros(len(x))
+    for i, a in enumerate(np.asarray(coeffs, dtype=float)):
+        if a != 0.0:
+            out += a * x**i
+    return out
 
 
 def _add_measurement_noise(y: np.ndarray, noise: NoiseSpec,

@@ -76,7 +76,8 @@ class RegularizerSpec:
     grid_points)`` with each decay of ``linspace(0.6, 0.95, grid_points)``;
     the given decays are not used there, and the correlations stay as given.
     The bounds checked here make every fixed prior and every grid candidate
-    positive definite, and cap the ``grid_points**4`` candidates at 6561.
+    positive definite, and keep ``grid_points`` from 2 (one point would not
+    search but replace the given prior) to 9 (``grid_points**4`` candidates).
     """
 
     scale_1: float = 1.0
@@ -99,8 +100,8 @@ class RegularizerSpec:
                                        or not math.isfinite(value)):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if (not isinstance(self.grid_points, numbers.Integral)
-                or not 1 <= self.grid_points <= MAX_GRID_POINTS):
-            raise ValueError(f"grid_points must be an integer from 1 to {MAX_GRID_POINTS}, "
+                or not 2 <= self.grid_points <= MAX_GRID_POINTS):
+            raise ValueError(f"grid_points must be an integer from 2 to {MAX_GRID_POINTS}, "
                              f"got {self.grid_points!r}")
         for name, ok, bound in (("scale", lambda v: v > 0, "positive"),
                                 ("decay", lambda v: 0 < v <= 1, "in (0, 1]"),
@@ -254,7 +255,7 @@ def _grid_search(k: np.ndarray, y: np.ndarray, ktk: np.ndarray, kty: np.ndarray,
     yy = y @ y
     g = reg.grid_points
     scales = np.geomspace(1.0 / reg.grid_span, reg.grid_span, g)
-    decays = np.unique(np.clip(np.linspace(0.6, 0.95, g), 0.05, 0.99))
+    decays = np.linspace(0.6, 0.95, g)
     specs = [replace(reg, scale_1=reg.scale_1 * s, decay_1=d, scale_2=reg.scale_2 * s, decay_2=d)
              for s in scales for d in decays]
     blocks = [_precision_blocks(spec, m, degree) for spec in specs]

@@ -550,6 +550,9 @@ def test_pipeline_parses_the_record_once_per_pass(tmp_path, monkeypatch):
     ({"noise": {"measurement_std": -1}}, "measurement_std"),
     ({"num_periods": 1}, "'num_periods' must be an integer of at least 2"),
     ({"fit": _volterra_fit(grid_points=10)}, "grid_points"),
+    ({"num_periods": 2, "max_lag": 45}, "'max_lag' (45)"),
+    ({"fit": {"type": "narx", "na": 2048, "nb": 1, "degree": 1}}, "'na', 'nb'"),
+    ({"fit": _volterra_fit(grid_points=1)}, "grid_points"),
 ])
 def test_pipeline_bad_config_exit_2_before_any_stage(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, "pipe.json", dict(PIPE_CFG, **overrides))
@@ -564,6 +567,7 @@ def test_pipeline_bad_config_exit_2_before_any_stage(tmp_path, capsys, overrides
     ("analyze", {"discard_periods": 3}, "'discard_periods' (3)"),
     ("bla", {"discard_periods": 3}, "'discard_periods' (3)"),
     ("fit-pnlss", {"state_dim": 40}, "'state_dim' (40)"),
+    ("analyze", {"smoothing_window": 1000}, "'smoothing_window' (1000)"),
 ])
 def test_value_that_does_not_fit_the_data_exit_2(tmp_path, capsys, command, overrides, message):
     # a 4-period record and a spec of 19 excited lines
@@ -611,6 +615,27 @@ def test_validate_record_shorter_than_the_model_lags_exit_2(tmp_path, capsys):
     out = tmp_path / "val"
     assert run_cli("validate", "--config", cfg, "--out", str(out)) == 2
     assert "record of 1 samples is too short for lag 2" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({}, "'max_lag' (40)"), ({"warmup": 300}, "'warmup' (300)"),
+])
+def test_validate_record_too_short_for_max_lag_exit_2(tmp_path, capsys, overrides, message):
+    # the residual tests need more than 10 * max_lag samples after the warmup
+    model = PnlssModel(np.array([[0.5]]), np.array([1.0]), np.array([1.0]), 0.0, None, None,
+                       np.zeros(1))
+    write_json(tmp_path / "lin.json", model.to_dict())
+    rng = np.random.default_rng(0)
+    write_signal_record(tmp_path / "rec.csv",
+                        SignalRecord(1.0, 256, 1, rng.normal(size=256), rng.normal(size=256)))
+    cfg = write_config(tmp_path, "val.json", {"schema_version": 1,
+                                              "record": str(tmp_path / "rec.csv"),
+                                              "model": str(tmp_path / "lin.json"), **overrides})
+    out = tmp_path / "val"
+    assert run_cli("validate", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert list(out.iterdir()) == []
 
 

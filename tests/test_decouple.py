@@ -116,6 +116,49 @@ def test_branch_values_are_those_of_the_simulation_loop():
     assert np.array_equal(eval_decoupled(d, p), d.branch_values(p) @ d.w.T)
 
 
+def test_ragged_rows_are_one_zero_padded_matrix():
+    rng = np.random.default_rng(31)
+    w, v = rng.normal(0.0, 0.3, size=(2, 3)), rng.normal(0.0, 0.6, size=(3, 3))
+    rows = (rng.normal(0.0, 0.3, size=6), rng.normal(0.0, 0.3, size=3), np.array([0.05]))
+    padded = np.zeros((3, 6))
+    for i, c in enumerate(rows):
+        padded[i, : len(c)] = c
+    ragged = DecoupledFunction(w, v, rows)
+    for d in (ragged, DecoupledFunction.from_dict(ragged.to_dict())):
+        assert d.branches.dtype == float and np.array_equal(d.branches, padded)
+    explicit = DecoupledFunction(w, v, padded)
+    u = rng.uniform(-1.0, 1.0, 400)
+    spiked = u.copy()
+    spiked[200] = np.inf
+    for x0, inputs, stop in (([0.0, 0.0], u, None), ([np.nan, 0.0], u, 0),
+                             ([0.0, 0.0], spiked, 200)):
+        got, want = (simulate_pnlss(PnlssModel(a=np.array([[0.5, 0.1], [-0.2, 0.3]]),
+                                               b=np.array([1.0, 0.0]), c=np.array([1.0, 0.5]),
+                                               d=0.0, e_map=e, f_map=None, x0=np.array(x0)),
+                                    inputs) for e in (ragged, explicit))
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got.x_traj.tobytes() == want.x_traj.tobytes()
+        assert got.divergence_index == want.divergence_index == stop
+    # Horner's rule from a zero top coefficient keeps the short rows' values,
+    # NaN and inf included
+    p = rng.uniform(-1.0, 1.0, (50, 3))
+    p[3, 0], p[7, 1], p[9, 2] = np.nan, np.inf, -np.inf
+    loop = []
+    for point in p.tolist():
+        row = []
+        for vi, c in zip(v.T.tolist(), rows):
+            s = vi[0] * point[0] + vi[1] * point[1] + vi[2] * point[2]  # as _branch_inputs
+            g = 0.0
+            for cj in c[::-1].tolist():
+                g = g * s + cj
+            row.append(g)
+        loop.append(row)
+    with np.errstate(invalid="ignore"):
+        g = ragged.branch_values(p)
+    assert np.array_equal(g, np.array(loop), equal_nan=True)
+    assert np.isnan(g[[3, 7, 9]]).all()
+
+
 def test_branch_terms_are_the_powers_and_slopes():
     rng = np.random.default_rng(23)
     d = DecoupledFunction(rng.normal(size=(2, 3)), rng.normal(0.0, 0.6, size=(4, 3)),
@@ -126,7 +169,7 @@ def test_branch_terms_are_the_powers_and_slopes():
     assert powers.shape == (3000, 3, 8)
     for j in range(8):
         np.testing.assert_allclose(powers[:, :, j], x**j, rtol=1e-14, atol=0.0)
-    cf = d._coefficient_matrix()
+    cf = d.branches
     slopes = sum(j * cf[:, j] * x ** (j - 1) for j in range(1, 8))
     np.testing.assert_allclose(dg, slopes, rtol=1e-12, atol=1e-12 * np.max(np.abs(slopes)))
 

@@ -178,6 +178,16 @@ def test_detect_needs_four_periods():
         detect_process_noise(rec)
 
 
+def test_detect_smoothing_window_within_the_period():
+    # the moving average wraps around one period: a window of the whole
+    # period reads a flat variance, a longer one read a false ratio (1.98)
+    rec = _process_noise_record(64, 8, input_dependent=True, seed=2)
+    assert detect_process_noise(rec, 64).stationarity_ratio == pytest.approx(1.0)
+    for window in (0, 65, 1000):
+        with pytest.raises(ValueError, match="smoothing_window"):
+            detect_process_noise(rec, window)
+
+
 def test_detection_calibration_over_seeds():
     # stationary verdicts in >= 95 of 100 seeded trials; same bar for detection
     hits_stationary = 0

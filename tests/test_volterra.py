@@ -134,7 +134,7 @@ def test_prior_degenerate_rejected():
     ({"scale_2": 0.0}, "scale_2"), ({"decay_1": 0.0}, "decay_1"), ({"decay_2": 1.01}, "decay_2"),
     ({"corr_2": -1.0}, "corr_2"), ({"grid_span": 0.5}, "grid_span"),
     ({"scale_1": float("inf")}, "scale_1"), ({"grid_points": 10}, "grid_points"),
-    ({"grid_points": 0}, "grid_points"),
+    ({"grid_points": 0}, "grid_points"), ({"grid_points": 1}, "grid_points"),
 ])
 def test_regularizer_bounds_rejected(values, field):
     with pytest.raises(ValueError, match=field):
@@ -310,7 +310,7 @@ def _wiener_record(seed, n=768):
 
 
 @pytest.mark.parametrize("degree", [1, 2])
-@pytest.mark.parametrize("grid_points", [1, 2, 3, 4])
+@pytest.mark.parametrize("grid_points", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_grid_search_identical_to_per_candidate_priors(degree, grid_points, seed):
     from nlsid.volterra import _model_from_theta, _regression_matrix
