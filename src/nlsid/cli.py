@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from . import bla as bla_mod
 from . import narx as narx_mod
 from . import nonparam, pnlss, signals, simulators, validate, volterra
-from .decouple import decouple_approx, decouple_exact
+from .decouple import decouple_approx
 from .polybasis import PolyMap
 from .serialize import (read_json, read_signal_record, write_csv, write_json,
                         write_signal_record)
@@ -288,10 +289,11 @@ def cmd_analyze(config: dict, out: Path, seed_override: int | None,
     spec = _load("spec", _field(config, "spec", str), signals.MultisineSpec.from_dict)
     _require_odd_grid(spec.grid_kind, "analyze")
     report = nonparam.classify_lines(spec, nonparam.sample_statistics(rec, discard))
-    rows = report.to_rows()
+    tiny = np.finfo(float).tiny
     write_csv(out / "distortion.csv", ["freq_hz", "class", "magnitude_db", "floor_db"],
-              [np.array([r[i] for r in rows], dtype=object if i == 1 else None)
-               for i in range(4)])
+              [report.frequency_hz, report.classes,
+               *(20.0 * np.log10(np.maximum(x, tiny))
+                 for x in (report.magnitude, report.noise_floor))])
     summary = {"threshold_db": threshold}
     for name, line_class in (("even", "even"), ("odd", "odd_detection")):
         excess = report.excess_db(line_class)
@@ -364,7 +366,7 @@ def cmd_fit_pnlss(config: dict, out: Path, seed_override: int | None,
         lin, rec, np.asarray(list(spec.excited_lines) if lines is None else lines, dtype=int),
         **fields)
     write_json(out / "pnlss.json", model.to_dict())
-    write_json(out / "pnlss_fit_report.json", {**report.to_dict(), "linear_frf_fit_rms": frf_rms})
+    write_json(out / "pnlss_fit_report.json", {**asdict(report), "linear_frf_fit_rms": frf_rms})
 
 
 def _volterra_fields(config: dict) -> dict:
@@ -387,15 +389,12 @@ def cmd_fit_volterra(config: dict, out: Path, seed_override: int | None,
 
 
 def cmd_decouple(config: dict, out: Path, seed_override: int | None) -> None:
-    _check_config(config, {"polymap", "pnlss", "r", "branch_degree", "num_points", "seed", "mode",
+    _check_config(config, {"polymap", "pnlss", "r", "branch_degree", "num_points", "seed",
                            "record"})
     seed = _seed(config, seed_override)
     r = _field(config, "r", int, minimum=1)
     num_points = _field(config, "num_points", int, 500, minimum=1)
     branch_degree = _field(config, "branch_degree", int, None, minimum=1)
-    mode = _field(config, "mode", str, "approx")
-    if mode not in ("exact", "approx"):
-        raise ConfigError(f"unknown decouple mode '{mode}'")
     source_model = points = None
     if "polymap" in config:
         f = _load("polymap", _field(config, "polymap", str), PolyMap.from_dict)
@@ -412,15 +411,12 @@ def cmd_decouple(config: dict, out: Path, seed_override: int | None) -> None:
             points = np.concatenate([sim.x_traj, rec.input[:, None]], axis=1)
     else:
         raise ConfigError("decouple needs either 'polymap' or 'pnlss'")
-    decouple = decouple_exact if mode == "exact" else decouple_approx
-    result = decouple(f, r, num_points=num_points, seed=seed, branch_degree=branch_degree,
-                      points=points)
+    result = decouple_approx(f, r, num_points=num_points, seed=seed,
+                             branch_degree=branch_degree, points=points)
     write_json(out / "decoupled.json", {
         **result.function.to_dict(),
-        **{k: getattr(result, k) for k in ("residual_max", "residual_rms", "cpd_converged",
-                                           "cpd_error", "cpd_sweeps", "cpd_stop")}})
+        **{k: v for k, v in vars(result).items() if k != "function"}})
     if source_model is not None:
-        from dataclasses import replace
         swapped = replace(source_model, e_map=result.function)
         write_json(out / "pnlss_decoupled.json", swapped.to_dict())
 
@@ -464,7 +460,7 @@ def cmd_validate(config: dict, out: Path, seed_override: int | None,
     y_sim = _simulate(model, rec)
     report = validate.validation_report(rec.output[warmup:], y_sim[warmup:],
                                         rec.input[warmup:], max_lag)
-    write_json(out / "validation.json", report.to_dict())
+    write_json(out / "validation.json", asdict(report))
     write_csv(out / "correlations.csv", ["lag", "autocorr", "crosscorr"],
               [np.arange(1, max_lag + 1), report.autocorr, report.crosscorr])
 

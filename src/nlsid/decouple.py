@@ -31,10 +31,11 @@ from .polybasis import (MonomialPlan, PolyMap, enumerate_monomials, eval_polymap
 class DecoupledFunction:
     """``q = W g(V^T p)`` with univariate polynomial branches.
 
-    Row ``branches[i]`` holds the ascending coefficients of ``g_i``; rows
-    given with different lengths are zero-padded to the longest.  After
-    canonicalization the V and W columns have unit norm, branch scales live in
-    the coefficients, and branches are sorted by descending coefficient norm.
+    Row ``branches[i]`` holds the ascending coefficients of ``g_i``, the
+    constant at least; rows given with different lengths are zero-padded to
+    the longest.  After canonicalization the V and W columns have unit norm,
+    branch scales live in the coefficients, and branches are sorted by
+    descending coefficient norm.
     """
 
     w: np.ndarray  # (n_q, r)
@@ -49,6 +50,8 @@ class DecoupledFunction:
             raise ValueError("W, V and branches must agree on the branch count r")
         if w.shape[1] < 1:
             raise ValueError("need at least one branch (r >= 1)")
+        if min(len(c) for c in rows) < 1:
+            raise ValueError("every branch needs at least its constant coefficient")
         # rows of any lengths, zero-padded to the longest: a zero top
         # coefficient leaves every Horner pass at the bits of the shorter row
         branches = np.zeros((len(rows), max(len(c) for c in rows)))

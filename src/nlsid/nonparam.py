@@ -18,6 +18,7 @@ from .signals import MultisineSpec, SignalRecord
 
 DISTORTION_THRESHOLD_DB = 6.0
 MIN_RELIABLE_PERIODS = 8
+STATIONARITY_THRESHOLD = 4.0  # max/min ratio of the smoothed variance read as process noise
 ODD_GRID_KINDS = ("odd_only", "odd_random_skip")
 
 
@@ -100,16 +101,6 @@ class DistortionReport:
     def distorted(self, cls: str, threshold_db: float = DISTORTION_THRESHOLD_DB) -> np.ndarray:
         return self.excess_db(cls) > threshold_db
 
-    def to_rows(self) -> list[tuple]:
-        """(freq_hz, class, magnitude_db, floor_db) rows for CSV export."""
-        tiny = np.finfo(float).tiny
-        return [
-            (f, c, 20.0 * np.log10(max(m, tiny)), 20.0 * np.log10(max(nf, tiny)))
-            for f, c, m, nf in zip(
-                self.frequency_hz, self.classes, self.magnitude, self.noise_floor
-            )
-        ]
-
 
 def classify_lines(spec: MultisineSpec, stats: LineStatistics) -> DistortionReport:
     """Classify in-band output lines into excited / odd-detection / even.
@@ -161,18 +152,17 @@ class ProcessNoiseReport:
     time_variance: np.ndarray
     stationarity_ratio: float
     verdict: str
-    threshold: float
 
 
-def detect_process_noise(rec: SignalRecord, smoothing_window: int | None = None,
-                         threshold: float = 4.0) -> ProcessNoiseReport:
+def detect_process_noise(rec: SignalRecord,
+                         smoothing_window: int | None = None) -> ProcessNoiseReport:
     """Detect process noise via a time-varying across-period variance.
 
     The periodic part of the output is removed by subtracting the per-index
     mean over periods; the remaining per-index variance is smoothed with a
     rectangular moving average (default window N/32) and its max/min ratio is
-    compared against ``threshold``.  The average wraps around one period, so
-    the window is at most N samples.
+    compared against ``STATIONARITY_THRESHOLD``.  The average wraps around
+    one period, so the window is at most N samples.
     """
     if rec.num_periods < 4:
         raise ValueError(f"need at least 4 periods, have {rec.num_periods}")
@@ -197,5 +187,5 @@ def detect_process_noise(rec: SignalRecord, smoothing_window: int | None = None,
         ratio = np.inf
     else:
         ratio = vmax / vmin
-    verdict = "nonstationary" if ratio > threshold else "stationary"
-    return ProcessNoiseReport(smoothed, ratio, verdict, threshold)
+    verdict = "nonstationary" if ratio > STATIONARITY_THRESHOLD else "stationary"
+    return ProcessNoiseReport(smoothed, ratio, verdict)

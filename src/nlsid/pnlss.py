@@ -35,6 +35,7 @@ from .simulators import DIVERGENCE_LIMIT
 COST_TOL = 1e-9        # LM stops after three accepted steps below this relative drop
 GRAD_TOL = 1e-8        # ... or once the gradient's largest entry is below this
 SENS_BLOCK = 32        # samples per block of the sensitivity recursion (16..128 time alike)
+SK_ITERATIONS = 20     # Sanathanan-Koerner reweightings of the linear init's rational fit
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,9 @@ class PnlssSimResult:
     divergence_index: int | None
 
 
-def simulate_pnlss(model: PnlssModel, u: np.ndarray,
-                   x0: np.ndarray | None = None) -> PnlssSimResult:
-    """Simulate the model; divergence truncates with a status, not an error.
+def simulate_pnlss(model: PnlssModel, u: np.ndarray) -> PnlssSimResult:
+    """Simulate the model from its start state ``x0``; divergence truncates
+    with a status, not an error.
 
     With ``z = (x, u)``, the output and every state update are each one dot
     product with the table ``[1, z, monomials of z]`` of a
@@ -157,7 +158,7 @@ def simulate_pnlss(model: PnlssModel, u: np.ndarray,
     u = np.asarray(u, dtype=float)
     n = model.state_dim
     t_len = len(u)
-    x = (model.x0 if x0 is None else np.asarray(x0, dtype=float).reshape(n)).tolist()
+    x = model.x0.tolist()
     e_map, f_map = model.e_map, model.f_map
     poly_degrees = [m.basis.degree_max for m in (e_map, f_map) if isinstance(m, PolyMap)]
     plan = MonomialPlan(n + 1, max(poly_degrees, default=1))
@@ -197,8 +198,8 @@ def simulate_pnlss(model: PnlssModel, u: np.ndarray,
     return PnlssSimResult(y, x_traj, False, None)
 
 
-def _rational_fit_sk(omega: np.ndarray, g: np.ndarray, order: int,
-                     iterations: int = 20) -> tuple[np.ndarray, np.ndarray]:
+def _rational_fit_sk(omega: np.ndarray, g: np.ndarray,
+                     order: int) -> tuple[np.ndarray, np.ndarray]:
     """Discrete-time rational fit b(z)/a(z) of given order to FRF samples.
 
     Linear (Levy) least squares with Sanathanan-Koerner reweighting; real
@@ -208,7 +209,7 @@ def _rational_fit_sk(omega: np.ndarray, g: np.ndarray, order: int,
     powers = z[:, None] ** (-np.arange(order + 1)[None, :])  # [1, z^-1, ...]
     weight = np.ones(len(z))
     den = np.ones(order + 1)
-    for _ in range(iterations):
+    for _ in range(SK_ITERATIONS):
         # unknowns: [b_0..b_n, a_1..a_n];  g * (1 + sum a_k z^-k) = sum b_k z^-k
         lhs = np.concatenate([powers, -g[:, None] * powers[:, 1:]], axis=1)
         w = weight[:, None]
@@ -304,15 +305,6 @@ class FitReport:
     final_error_per_line: np.ndarray
     iterations: int
     status: str
-
-    def to_dict(self) -> dict:
-        return {
-            "cost_trajectory": self.cost_trajectory.tolist(),
-            "final_rms_time": self.final_rms_time,
-            "final_error_per_line": self.final_error_per_line.tolist(),
-            "iterations": self.iterations,
-            "status": self.status,
-        }
 
 
 def _offsets(model: PnlssModel) -> np.ndarray:

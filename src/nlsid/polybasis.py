@@ -34,12 +34,21 @@ def monomial_count(n_vars: int, d_min: int, d_max: int) -> int:
 class MonomialBasis:
     """Ordered monomial basis in ``n_vars`` variables: by total degree, then
     by descending leading exponents (graded lex), stable across runs and
-    serialization round-trips."""
+    serialization round-trips.  An exponent of another length, with a
+    negative or non-integer entry, or of a degree outside
+    ``[degree_min, degree_max]`` is a ValueError."""
 
     n_vars: int
     degree_min: int
     degree_max: int
     exponents: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    def __post_init__(self):
+        for e in self.exponents:
+            if (len(e) != self.n_vars or not all(isinstance(k, int) and k >= 0 for k in e)
+                    or not self.degree_min <= sum(e) <= self.degree_max):
+                raise ValueError(f"exponent {list(e)} is not a monomial in {self.n_vars} "
+                                 f"variables of degree {self.degree_min} to {self.degree_max}")
 
     def __len__(self) -> int:
         return len(self.exponents)

@@ -16,27 +16,18 @@ import numpy as np
 from .signals import SignalRecord
 
 
-def _normalize(obj):
-    """Recursively convert numpy scalars and arrays to Python values."""
-    if isinstance(obj, dict):
-        return {str(k): _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_normalize(v) for v in obj.tolist()]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+def _encode(obj):
+    """What ``json`` cannot write itself: a complex number as ``{"re", "im"}``,
+    a numpy array or scalar as its ``.tolist()``."""
     if isinstance(obj, complex):
-        return {"re": _normalize(obj.real), "im": _normalize(obj.imag)}
-    return obj
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(_normalize(payload), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, default=_encode) + "\n")
 
 
 def read_json(path: str | Path) -> dict:

@@ -9,6 +9,7 @@ import numpy as np
 
 MAX_VIOLATION_FRACTION = 0.10  # lags a passing correlation test may have outside the band
 EXTRAPOLATION_FRACTION = 0.10  # test states outside the training domain that raise the flag
+RADIUS_QUANTILE = 0.99  # quantile of the training distances that bounds the domain
 
 
 def fit_metric(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -100,13 +101,12 @@ class DomainCoverage:
     test_distances: np.ndarray
 
 
-def domain_coverage(train_states: np.ndarray, test_states: np.ndarray,
-                    radius_quantile: float = 0.99) -> DomainCoverage:
+def domain_coverage(train_states: np.ndarray, test_states: np.ndarray) -> DomainCoverage:
     """Mahalanobis domain check of test states against the training cloud.
 
     The training mean/covariance define the squared distance
     ``d(s) = (s - mu)^T C^-1 (s - mu)``; the coverage radius is the
-    ``radius_quantile`` quantile of the training distances.  The extrapolation
+    ``RADIUS_QUANTILE`` quantile of the training distances.  The extrapolation
     flag raises when more than ``EXTRAPOLATION_FRACTION`` of the test states
     exceed that radius.  A singular covariance is regularized with
     ``eps * I``, ``eps = 1e-8 * trace(C)/n``.
@@ -132,7 +132,7 @@ def domain_coverage(train_states: np.ndarray, test_states: np.ndarray,
 
     train_d = dist2(train)
     test_d = dist2(test)
-    radius = float(np.quantile(train_d, radius_quantile))
+    radius = float(np.quantile(train_d, RADIUS_QUANTILE))
     inside = float(np.mean(test_d <= radius))
     return DomainCoverage(
         fraction_inside=inside,
@@ -156,19 +156,6 @@ class ValidationReport:
     crosscorr_pass: bool
     domain_fraction_inside: float | None
     extrapolation_flag: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "fit_percent": self.fit_percent,
-            "rms_error": self.rms_error,
-            "autocorr": self.autocorr.tolist(),
-            "crosscorr": self.crosscorr.tolist(),
-            "correlation_bound": self.correlation_bound,
-            "whiteness_pass": self.whiteness_pass,
-            "crosscorr_pass": self.crosscorr_pass,
-            "domain_fraction_inside": self.domain_fraction_inside,
-            "extrapolation_flag": self.extrapolation_flag,
-        }
 
 
 def validation_report(y: np.ndarray, yhat: np.ndarray, input_signal: np.ndarray,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,14 @@ import pytest
 
 import nlsid
 from nlsid.cli import main
+from nlsid.decouple import DecoupleResult
 from nlsid.narx import NarxModel, simulate_free_run
-from nlsid.pnlss import PnlssModel
+from nlsid.nonparam import classify_lines, sample_statistics
+from nlsid.pnlss import FitReport, PnlssModel
 from nlsid.polybasis import PolyMap, enumerate_monomials
 from nlsid.serialize import read_json, read_signal_record, write_json, write_signal_record
-from nlsid.signals import SignalRecord
+from nlsid.signals import MultisineSpec, SignalRecord
+from nlsid.validate import ValidationReport
 
 
 def run_cli(*args):
@@ -224,6 +228,42 @@ def test_simulate_then_analyze_even_verdict(tmp_path):
     assert (an_out / "distortion.csv").exists()
 
 
+def reference_distortion_csv(report) -> str:
+    """The per-row writer the dB columns replaced: ``max`` and ``log10`` on
+    one line's magnitude and floor at a time."""
+    tiny = np.finfo(float).tiny
+    rows = ["freq_hz,class,magnitude_db,floor_db"]
+    for f, c, m, nf in zip(report.frequency_hz, report.classes, report.magnitude,
+                           report.noise_floor):
+        rows.append(f"{f:.17g},{c},{20.0 * np.log10(max(m, tiny)):.17g},"
+                    f"{20.0 * np.log10(max(nf, tiny)):.17g}")
+    return "\n".join(rows) + "\n"
+
+
+def test_distortion_csv_bytes_equal_the_row_loop(tmp_path):
+    # every period is half-wave antisymmetric, y[n + N/2] = -y[n], so its
+    # even lines are exactly zero: their magnitude and floor take the clamp
+    design_out = tmp_path / "design"
+    assert run_cli("design", "--config", write_config(tmp_path, "design.json", design_config()),
+                   "--out", str(design_out)) == 0
+    spec = MultisineSpec.from_dict(read_json(design_out / "multisine.json"))
+    n, periods = spec.period_samples, 8
+    rng = np.random.default_rng(4)
+    halves = rng.normal(size=n // 2) + 1e-3 * rng.normal(size=(periods, n // 2))
+    y = np.concatenate([halves, -halves], axis=1).ravel()
+    rec = SignalRecord(spec.sample_rate_hz, n, periods, rng.normal(size=n * periods), y)
+    write_signal_record(tmp_path / "rec.csv", rec)
+    cfg = write_config(tmp_path, "an.json", {"schema_version": 1,
+                                             "record": str(tmp_path / "rec.csv"),
+                                             "spec": str(design_out / "multisine.json")})
+    assert run_cli("analyze", "--config", cfg, "--out", str(tmp_path / "an")) == 0
+    report = classify_lines(spec, sample_statistics(read_signal_record(tmp_path / "rec.csv")))
+    even = report.classes == "even"
+    assert np.all(report.magnitude[even] == 0.0) and np.all(report.noise_floor[even] == 0.0)
+    assert np.all(report.magnitude[~even] > 0.0) and np.all(report.noise_floor[~even] > 0.0)
+    assert (tmp_path / "an" / "distortion.csv").read_text() == reference_distortion_csv(report)
+
+
 def test_analyze_full_grid_exit_2(tmp_path, capsys):
     sim_cfg = write_config(tmp_path, "sim.json", simulate_config(
         {"type": "static", "coefficients": [0.0, 1.0, 0.15]},
@@ -350,7 +390,7 @@ def test_decouple_cli_worked_polymap(tmp_path):
     cfg = write_config(tmp_path, "dec.json", {
         "schema_version": 1,
         "polymap": str(tmp_path / "f.json"),
-        "r": 2, "seed": 0, "mode": "exact", "num_points": 300,
+        "r": 2, "seed": 0, "num_points": 300,
     })
     out = tmp_path / "dec"
     assert run_cli("decouple", "--config", cfg, "--out", str(out)) == 0
@@ -372,6 +412,7 @@ def test_decouple_cli_worked_polymap(tmp_path):
     ("seed", "x"),
     ("polymap", 5),
     ("polymap", "no/such/polymap.json"),
+    ("mode", "exact"),
 ])
 def test_decouple_bad_config_value_exit_2(tmp_path, capsys, field, value):
     from nlsid.polybasis import PolyMap
@@ -639,6 +680,28 @@ def test_validate_record_too_short_for_max_lag_exit_2(tmp_path, capsys, override
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("e_map", [
+    {"n_vars": 3, "d_min": 2, "d_max": 3, "exponents": [[5, 0, 0]], "coeffs": [[0.1], [0.0]]},
+    {"n_vars": 3, "d_min": 2, "d_max": 3, "exponents": [[1, 1]], "coeffs": [[0.1], [0.0]]},
+    {"n_vars": 3, "d_min": 2, "d_max": 2, "exponents": [[3, 0, 0]], "coeffs": [[0.1], [0.0]]},
+    {"decoupled": {"W": [[1.0], [0.0]], "V": [[1.0], [0.0], [0.0]], "branches": [[]]}},
+], ids=["degree-above-d_max", "length-not-n_vars", "d_max-below-degree", "empty-branch"])
+def test_validate_model_that_cannot_run_exit_2(tmp_path, capsys, e_map):
+    linear = PnlssModel(np.diag([0.5, 0.3]), np.ones(2), np.ones(2), 0.0, None, None, np.zeros(2))
+    write_json(tmp_path / "model.json", dict(linear.to_dict(), E=e_map))
+    rng = np.random.default_rng(0)
+    write_signal_record(tmp_path / "rec.csv",
+                        SignalRecord(1.0, 512, 1, rng.normal(size=512), rng.normal(size=512)))
+    cfg = write_config(tmp_path, "val.json", {"schema_version": 1,
+                                              "record": str(tmp_path / "rec.csv"),
+                                              "model": str(tmp_path / "model.json")})
+    out = tmp_path / "val"
+    assert run_cli("validate", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"model {tmp_path / 'model.json'} does not load" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_fit_narx_lag_past_the_record_exit_2(tmp_path, capsys):
     rng = np.random.default_rng(0)
     write_signal_record(tmp_path / "rec.csv",
@@ -757,3 +820,25 @@ def test_commands_run_with_scipy_blocked(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[0, 0, 0, 0]", done.stderr
     assert (tmp_path / "dec" / "decoupled.json").exists()
+
+
+def test_report_files_hold_their_objects_fields(tmp_path):
+    # the reports are written from the objects' own fields, so a field added
+    # to FitReport, ValidationReport or DecoupleResult reaches its file
+    fit = {"type": "pnlss", "state_dim": 2, "state_degree": 3, "max_iterations": 3}
+    cfg = write_config(tmp_path, "pipe.json", dict(README_PIPE_CFG, fit=fit))
+    run = tmp_path / "run"
+    assert run_cli("pipeline", "--config", cfg, "--out", str(run)) == 0
+    dec = write_config(tmp_path, "dec.json", {
+        "schema_version": 1, "pnlss": str(run / "fit" / "pnlss.json"),
+        "record": str(run / "simulate" / "record.csv"), "r": 1, "seed": 0, "num_points": 200})
+    assert run_cli("decouple", "--config", dec, "--out", str(tmp_path / "dec")) == 0
+
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    assert (set(read_json(run / "fit" / "pnlss_fit_report.json"))
+            == names(FitReport) | {"linear_frf_fit_rms"})
+    assert set(read_json(run / "validate" / "validation.json")) == names(ValidationReport)
+    assert (set(read_json(tmp_path / "dec" / "decoupled.json"))
+            == {"W", "V", "branches"} | names(DecoupleResult) - {"function"})

@@ -75,11 +75,11 @@ def test_simulate_divergence_status():
     assert res.divergence_index is not None
 
 
-def reference_simulate(model, u, x0=None):
+def reference_simulate(model, u):
     """One numpy step at a time: the loop the scalar simulation must match."""
     u = np.asarray(u, dtype=float)
     n = model.state_dim
-    x = model.x0.copy() if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+    x = model.x0.copy()
     xs = np.zeros((len(u), n))
     y = np.zeros(len(u))
     for t in range(len(u)):
@@ -111,9 +111,9 @@ def assert_rel_close(got, ref, rtol=1e-12):
     assert np.max(np.abs(got[finite] - ref[finite]), initial=0.0) <= rtol * scale
 
 
-def assert_matches_reference(model, u, x0=None):
-    res = simulate_pnlss(model, u, x0)
-    y, xs, diverged, index = reference_simulate(model, u, x0)
+def assert_matches_reference(model, u):
+    res = simulate_pnlss(model, u)
+    y, xs, diverged, index = reference_simulate(model, u)
     assert (res.diverged, res.divergence_index) == (diverged, index)
     assert_rel_close(res.y, y)
     assert_rel_close(res.x_traj, xs)
@@ -154,8 +154,9 @@ def test_simulate_matches_numpy_reference(seed, n, e_kind, e_degrees, f_degree,
     # a small drive: trajectories that grow or wander chaotically amplify the
     # two loops' different summation order past the 1e-12 tolerance
     u = 0.2 * rng.normal(size=120)
-    x0 = 0.2 * rng.normal(size=n) if override_x0 else None
-    assert_matches_reference(model, u, x0)
+    if override_x0:
+        model = replace(model, x0=0.2 * rng.normal(size=n))
+    assert_matches_reference(model, u)
 
 
 def _spike(u, k, value):
@@ -163,14 +164,14 @@ def _spike(u, k, value):
 
 
 DIVERGENCE_CASES = {
-    # name: (model, u, x0) that diverge at sample k, or soon after it for the
+    # name: (model, u) that diverge at sample k, or soon after it for the
     # doubling state (its output stays zero, so only |x| can trip the check)
-    "nan_input": lambda m, u, k: (m, _spike(u, k, np.nan), None),
-    "large_output": lambda m, u, k: (replace(m, d=1.0), _spike(u, k, 1e7), None),
+    "nan_input": lambda m, u, k: (m, _spike(u, k, np.nan)),
+    "large_output": lambda m, u, k: (replace(m, d=1.0), _spike(u, k, 1e7)),
     "large_state": lambda m, u, k: (
         replace(m, a=(2.0 if k else 1.0) * np.eye(m.state_dim), c=np.zeros(m.state_dim),
-                d=0.0, f_map=None),
-        u, np.full(m.state_dim, 1.0 if k else 2e6)),
+                d=0.0, f_map=None, x0=np.full(m.state_dim, 1.0 if k else 2e6)),
+        u),
 }
 
 
@@ -183,8 +184,8 @@ def test_simulate_divergence_matches_numpy_reference(e_kind, case, k):
                          branch_lengths=(2, 4))
     u = 0.1 * rng.normal(size=80)
     assert not simulate_pnlss(model, u).diverged
-    model, u, x0 = DIVERGENCE_CASES[case](model, u, k)
-    res = assert_matches_reference(model, u, x0)
+    model, u = DIVERGENCE_CASES[case](model, u, k)
+    res = assert_matches_reference(model, u)
     assert res.diverged
     if case == "large_state" and k:
         assert 0 < res.divergence_index < len(u)
@@ -231,7 +232,7 @@ def test_simulate_reports_divergence_as_a_status(seed, n, e_kind, radius, gain, 
         assert res.diverged and res.divergence_index == 0
 
 
-def reference_simulate_pnlss(model, u, x0=None):
+def reference_simulate_pnlss(model, u):
     """The per-sample loop the generated step replaced.
 
     Each sample forms the whole table ``[1, z, monomials of z]`` (the branch
@@ -244,7 +245,7 @@ def reference_simulate_pnlss(model, u, x0=None):
     """
     u = np.asarray(u, dtype=float)
     n = model.state_dim
-    x = (model.x0 if x0 is None else np.asarray(x0, dtype=float).reshape(n)).tolist()
+    x = model.x0.tolist()
     e_map, f_map = model.e_map, model.f_map
     poly_degrees = [m.basis.degree_max for m in (e_map, f_map) if isinstance(m, PolyMap)]
     plan = MonomialPlan(n + 1, max(poly_degrees, default=1))
@@ -319,13 +320,14 @@ def test_simulate_is_the_reference_loop_bit_for_bit(seed, n, e_kind, e_degrees, 
     # radius 1.3 makes the linear part unstable, so many runs diverge
     model = replace(model, a=model.a * (radius / 0.8))
     u = rng.normal(size=100)
-    x0 = 0.2 * rng.normal(size=n) if override_x0 else None
+    if override_x0:
+        model = replace(model, x0=0.2 * rng.normal(size=n))
     if bad_state is not None:
-        start = (model.x0 if x0 is None else x0).copy()
+        start = model.x0.copy()
         start[rng.integers(n)] = bad_state
-        model, x0 = (model, start) if override_x0 else (replace(model, x0=start), None)
-    res = simulate_pnlss(model, u, x0)
-    y, xs, diverged, index, finite = reference_simulate_pnlss(model, u, x0)
+        model = replace(model, x0=start)
+    res = simulate_pnlss(model, u)
+    y, xs, diverged, index, finite = reference_simulate_pnlss(model, u)
     assert (res.diverged, res.divergence_index) == (diverged, index)
     assert np.array_equal(res.y, y, equal_nan=not finite)
     assert np.array_equal(res.x_traj, xs, equal_nan=not finite)
@@ -619,9 +621,9 @@ def test_fit_simulates_each_lm_point_once(monkeypatch):
     points, residual_calls = [], []
     simulate, engine = P.simulate_pnlss, P.levenberg_marquardt
 
-    def counted_simulate(model, inputs, x0=None):
+    def counted_simulate(model, inputs):
         points.append(P._pack(model).tobytes())
-        return simulate(model, inputs, x0)
+        return simulate(model, inputs)
 
     def counted_engine(residual, *args, **kwargs):
         def counted_residual(theta):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,8 +109,9 @@ def test_residual_tests_length_guard():
 def test_domain_coverage_self():
     rng = np.random.default_rng(5)
     train = rng.normal(size=(500, 2))
-    cov = domain_coverage(train, train, radius_quantile=1.0)
-    assert cov.fraction_inside == pytest.approx(1.0)
+    cov = domain_coverage(train, train)
+    # the radius is the training distances' RADIUS_QUANTILE (0.99) quantile
+    assert cov.fraction_inside == pytest.approx(0.99)
     assert not cov.extrapolation_flag
 
 
@@ -162,10 +165,10 @@ def test_validation_report_assembles_everything():
     assert rep.whiteness_pass and rep.crosscorr_pass
     assert rep.extrapolation_flag
     assert len(rep.autocorr) == 20
-    payload = rep.to_dict()
+    payload = asdict(rep)
     assert payload["fit_percent"] == rep.fit_percent
     # without state clouds the coverage is not checked, and says so
     rep2 = validation_report(y, yhat, u, max_lag=20)
     assert rep2.domain_fraction_inside is None
     assert rep2.extrapolation_flag is None
-    assert rep2.to_dict()["extrapolation_flag"] is None
+    assert asdict(rep2)["extrapolation_flag"] is None
