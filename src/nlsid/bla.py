@@ -36,8 +36,8 @@ class BlaModel:
     frf_variance_noise: np.ndarray
     num_realizations: int
     num_periods: int
-    sample_rate_hz: float = 1.0
-    period_samples: int = 0
+    sample_rate_hz: float
+    period_samples: int
 
     def __post_init__(self):
         if np.any(self.frf_variance_total < 0) or np.any(self.frf_variance_noise < 0):
@@ -56,20 +56,6 @@ class BlaModel:
             "sample_rate_hz": self.sample_rate_hz,
             "period_samples": self.period_samples,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BlaModel":
-        return cls(
-            lines=np.asarray(d["lines"], dtype=int),
-            frequency_hz=np.asarray(d["frequency_hz"], dtype=float),
-            frf=np.asarray(d["frf_re"], dtype=float) + 1j * np.asarray(d["frf_im"], dtype=float),
-            frf_variance_total=np.asarray(d["var_total"], dtype=float),
-            frf_variance_noise=np.asarray(d["var_noise"], dtype=float),
-            num_realizations=int(d["num_realizations"]),
-            num_periods=int(d["num_periods"]),
-            sample_rate_hz=float(d.get("sample_rate_hz", 1.0)),
-            period_samples=int(d.get("period_samples", 0)),
-        )
 
 
 def estimate_bla_spectral(records: list[SignalRecord], spec: MultisineSpec,

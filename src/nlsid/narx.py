@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polybasis import (MonomialPlan, PolyMap, enumerate_monomials, eval_monomials,
-                        step_kernel)
+from .polybasis import (MonomialPlan, PolyMap, SimResult, _run_kernel, enumerate_monomials,
+                        eval_monomials, step_kernel)
 from .signals import SignalRecord
-from .simulators import DIVERGENCE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -22,35 +21,39 @@ class NarxModel:
 
     The regressor vector is ``phi(t) = [y(t-1..t-na), (u(t) if direct_term),
     u(t-1..t-nb)]`` and ``h`` is a polynomial over it (constant through
-    ``degree``).  ``training_residual_rms`` stores the equation-error RMS at
-    fit time.
+    ``degree``), one output over exactly those regressors.
+    ``training_residual_rms`` stores the equation-error RMS at fit time.
     """
 
     na: int
     nb: int
     direct_term: bool
     poly: PolyMap
-    regressor_layout: tuple[str, ...]
     training_residual_rms: float = 0.0
+
+    def __post_init__(self):
+        if self.na < 0 or self.nb < 0:
+            raise ValueError(f"lags must be >= 0, got na = {self.na}, nb = {self.nb}")
+        n_reg = len(self.regressor_layout)
+        if self.poly.n_vars != n_reg or self.poly.n_outputs != 1:
+            raise ValueError(f"the polynomial must map the {n_reg} regressors to one output, "
+                             f"not {self.poly.n_vars} variables to {self.poly.n_outputs}")
+
+    @property
+    def regressor_layout(self) -> tuple[str, ...]:
+        """The name of each entry of ``phi(t)``."""
+        names = [f"y[t-{i}]" for i in range(1, self.na + 1)]
+        if self.direct_term:
+            names.append("u[t]")
+        return (*names, *(f"u[t-{i}]" for i in range(1, self.nb + 1)))
 
     @property
     def max_lag(self) -> int:
         return max(self.na, self.nb)
 
-    @property
-    def degree(self) -> int:
-        return self.poly.basis.degree_max
-
     def regressors(self, y: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
         """phi(t) rows for the given time indices (measured outputs)."""
-        cols = []
-        for i in range(1, self.na + 1):
-            cols.append(y[t - i])
-        if self.direct_term:
-            cols.append(u[t])
-        for i in range(1, self.nb + 1):
-            cols.append(u[t - i])
-        return np.stack(cols, axis=-1)
+        return _regressors(self.na, self.nb, self.direct_term, y, u, t)
 
     def to_dict(self) -> dict:
         d = self.poly.to_dict()
@@ -65,22 +68,29 @@ class NarxModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NarxModel":
-        return cls(
+        model = cls(
             na=int(d["na"]),
             nb=int(d["nb"]),
             direct_term=bool(d["direct_term"]),
             poly=PolyMap.from_dict(d),
-            regressor_layout=tuple(d["regressor_layout"]),
             training_residual_rms=float(d["training_residual_rms"]),
         )
+        if list(d["regressor_layout"]) != list(model.regressor_layout):
+            raise ValueError(f"regressor_layout {d['regressor_layout']} is not the "
+                             f"model's {list(model.regressor_layout)}")
+        return model
 
 
-def _layout(na: int, nb: int, direct_term: bool) -> tuple[str, ...]:
-    names = [f"y[t-{i}]" for i in range(1, na + 1)]
+def _regressors(na: int, nb: int, direct_term: bool, y: np.ndarray, u: np.ndarray,
+                t: np.ndarray) -> np.ndarray:
+    cols = []
+    for i in range(1, na + 1):
+        cols.append(y[t - i])
     if direct_term:
-        names.append("u[t]")
-    names += [f"u[t-{i}]" for i in range(1, nb + 1)]
-    return tuple(names)
+        cols.append(u[t])
+    for i in range(1, nb + 1):
+        cols.append(u[t - i])
+    return np.stack(cols, axis=-1)
 
 
 def fit_narx(rec: SignalRecord, na: int, nb: int, degree: int,
@@ -100,16 +110,11 @@ def fit_narx(rec: SignalRecord, na: int, nb: int, degree: int,
     u = rec.input
     if len(y) == 0:
         raise ValueError("empty record")
-    layout = _layout(na, nb, direct_term)
-    n_reg = len(layout)
-    basis = enumerate_monomials(n_reg, 0, degree)
-    max_lag = max(na, nb)
-    t = np.arange(max_lag, len(y))
+    basis = enumerate_monomials(na + nb + int(direct_term), 0, degree)
+    t = np.arange(max(na, nb), len(y))
     if len(t) < 1:
         raise ValueError("record shorter than the maximum lag")
-    proto = NarxModel(na, nb, direct_term, PolyMap.zeros(1, n_reg, 0, degree), layout)
-    phi = proto.regressors(y, u, t)
-    k = eval_monomials(basis, phi)  # (T, n_mono)
+    k = eval_monomials(basis, _regressors(na, nb, direct_term, y, u, t))  # (T, n_mono)
     target = y[t]
     if len(t) <= 10 * k.shape[1]:
         warnings.warn(
@@ -127,25 +132,16 @@ def fit_narx(rec: SignalRecord, na: int, nb: int, degree: int,
     theta = theta_s / scale
     resid = target - k @ theta
     poly = PolyMap(basis, theta[None, :])
-    return NarxModel(na, nb, direct_term, poly, layout,
+    return NarxModel(na, nb, direct_term, poly,
                      training_residual_rms=float(np.sqrt(np.mean(resid**2))))
 
 
-@dataclass(frozen=True)
-class FreeRunResult:
-    """Free-run simulation output with divergence status."""
-
-    y: np.ndarray
-    diverged: bool
-    divergence_index: int | None
-
-
-def simulate_free_run(model: NarxModel, u: np.ndarray,
-                      y_init: np.ndarray) -> FreeRunResult:
+def simulate_free_run(model: NarxModel, u: np.ndarray, y_init: np.ndarray) -> SimResult:
     """Recursive simulation feeding predicted outputs back into the regressors.
 
     The step is :func:`~nlsid.polybasis.step_kernel`'s, with the output lags
-    as states; ``y_init`` holds ``y[max_lag - na : max_lag]``.  The run stops
+    as states (``x_traj`` row ``t`` holds ``y(t-1), ..., y(t-na)`` from
+    ``max_lag`` on); ``y_init`` holds ``y[max_lag - na : max_lag]``.  The run stops
     at the first sample whose output, or a lag it was computed from, is NaN
     or beyond ``DIVERGENCE_LIMIT`` in magnitude: the output holds ``y(t-1)``
     from there on and the status records the index.  This is a status, not an
@@ -170,10 +166,4 @@ def simulate_free_run(model: NarxModel, u: np.ndarray,
     # input columns of phi(t) for every simulated t, one float each for one column
     u_cols = model.regressors(y, u, np.arange(start, len(u)))[:, na:]
     u_cols = (u_cols[:, 0] if m == 1 else u_cols).tolist()
-    ys, _, diverged = kernel(u_cols, y_init[::-1].tolist(), row.tolist(), DIVERGENCE_LIMIT)
-    y[start : start + len(ys)] = ys
-    if not diverged:
-        return FreeRunResult(y, False, None)
-    t = start + len(ys) - 1
-    y[t:] = y[t - 1] if t > 0 else 0.0
-    return FreeRunResult(y, True, t)
+    return _run_kernel(kernel, u_cols, y_init[::-1].tolist(), row.tolist(), y, start)

@@ -84,7 +84,6 @@ class DistortionReport:
     classes: np.ndarray  # str per line
     magnitude: np.ndarray
     noise_floor: np.ndarray
-    stats: LineStatistics
 
     def magnitudes_of(self, cls: str) -> np.ndarray:
         return self.magnitude[self.classes == cls]
@@ -136,7 +135,6 @@ def classify_lines(spec: MultisineSpec, stats: LineStatistics) -> DistortionRepo
         classes=classes.astype(str),
         magnitude=magnitude,
         noise_floor=floor,
-        stats=stats,
     )
 
 

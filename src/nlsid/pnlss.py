@@ -26,11 +26,11 @@ import numpy as np
 from .bla import BlaModel
 from .decouple import DecoupledFunction, _initial_decoupling
 from .lm import levenberg_marquardt
-from .polybasis import MonomialPlan, PolyMap, enumerate_monomials, step_kernel
+from .polybasis import (MonomialPlan, PolyMap, SimResult, _run_kernel, enumerate_monomials,
+                        step_kernel)
 # eval_monomials stays a name of this module: the benchmark's tracer wraps it here
 from .polybasis import eval_monomials  # noqa: F401
 from .signals import SignalRecord
-from .simulators import DIVERGENCE_LIMIT
 
 COST_TOL = 1e-9        # LM stops after three accepted steps below this relative drop
 GRAD_TOL = 1e-8        # ... or once the gradient's largest entry is below this
@@ -127,17 +127,7 @@ class PnlssModel:
         )
 
 
-@dataclass(frozen=True)
-class PnlssSimResult:
-    """Simulation output, state trajectory, and divergence status."""
-
-    y: np.ndarray
-    x_traj: np.ndarray
-    diverged: bool
-    divergence_index: int | None
-
-
-def simulate_pnlss(model: PnlssModel, u: np.ndarray) -> PnlssSimResult:
+def simulate_pnlss(model: PnlssModel, u: np.ndarray) -> SimResult:
     """Simulate the model from its start state ``x0``; divergence truncates
     with a status, not an error.
 
@@ -157,8 +147,6 @@ def simulate_pnlss(model: PnlssModel, u: np.ndarray) -> PnlssSimResult:
     """
     u = np.asarray(u, dtype=float)
     n = model.state_dim
-    t_len = len(u)
-    x = model.x0.tolist()
     e_map, f_map = model.e_map, model.f_map
     poly_degrees = [m.basis.degree_max for m in (e_map, f_map) if isinstance(m, PolyMap)]
     plan = MonomialPlan(n + 1, max(poly_degrees, default=1))
@@ -186,16 +174,7 @@ def simulate_pnlss(model: PnlssModel, u: np.ndarray) -> PnlssSimResult:
     kernel = step_kernel(n, 1, plan.levels, tuple(out_cols), (tuple(state_cols),) * n,
                          branch_degrees)
     params = [*y_row[out_cols].tolist(), *x_rows[:, state_cols].ravel().tolist(), *branch_params]
-    ys, xs, diverged = kernel(u.tolist(), x, params, DIVERGENCE_LIMIT)
-    y = np.zeros(t_len)
-    x_traj = np.zeros((t_len, n))
-    y[: len(ys)] = ys
-    x_traj[: len(ys)] = np.frombuffer(xs).reshape(-1, n)
-    if diverged:
-        t = len(ys) - 1
-        y[t:] = y[t - 1] if t > 0 else 0.0
-        return PnlssSimResult(y, x_traj, True, t)
-    return PnlssSimResult(y, x_traj, False, None)
+    return _run_kernel(kernel, u.tolist(), model.x0.tolist(), params, np.zeros(len(u)), 0)
 
 
 def _rational_fit_sk(omega: np.ndarray, g: np.ndarray,
@@ -411,26 +390,11 @@ def _state_sensitivities(a: np.ndarray, e_x: np.ndarray, direct: np.ndarray,
     return jx
 
 
-def _freq_residual_factory(rec: SignalRecord, lines, weights):
-    bins = np.asarray(lines, dtype=int) * rec.num_periods
-    if weights is None:
-        w = np.ones(len(bins))
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != bins.shape or np.any(w <= 0):
-            raise ValueError("weights must be positive, one per excited line")
-    sqrt_w = np.sqrt(w)
-    y_f = np.fft.rfft(rec.output)[bins]
-    return bins, sqrt_w, y_f
-
-
 def fit_pnlss(init: PnlssModel, rec: SignalRecord, lines: np.ndarray,
               state_degree: int | None = 3, output_degree: int | None = None,
-              weights: np.ndarray | None = None,
               max_iterations: int = 300) -> tuple[PnlssModel, FitReport]:
     """Refine a PNLSS model by Levenberg-Marquardt on the frequency-domain
-    simulation error ``V = sum_k |Y(k) - Yhat(k)|^2 / W(k)`` at the excited
-    lines.
+    simulation error ``V = sum_k |Y(k) - Yhat(k)|^2`` at the excited lines.
 
     Parameters
     ----------
@@ -446,7 +410,6 @@ def fit_pnlss(init: PnlssModel, rec: SignalRecord, lines: np.ndarray,
     state_degree, output_degree : int or None
         Expand E (resp. F) with all monomials in (x, u) of total degree
         2..degree when the init model lacks them; None leaves the map absent.
-    weights : per-line positive weights W(k), default uniform.
 
     Notes
     -----
@@ -469,36 +432,36 @@ def fit_pnlss(init: PnlssModel, rec: SignalRecord, lines: np.ndarray,
     if output_degree is not None and model.f_map is None and output_degree >= 2:
         basis = enumerate_monomials(n + 1, 2, output_degree)
         model = replace(model, f_map=PolyMap(basis, np.zeros((1, len(basis)))))
-    return _fit(model, rec, lines, weights, max_iterations)
+    return _fit(model, rec, lines, max_iterations)
 
 
 def fit_pnlss_decoupled(init: PnlssModel, rec: SignalRecord, lines: np.ndarray,
-                        weights: np.ndarray | None = None,
                         max_iterations: int = 300) -> tuple[PnlssModel, FitReport]:
     """:func:`fit_pnlss` for a model whose E is a decoupled
     ``W g(V^T (x, u))``, such as a reduced model; it never adds maps.
     """
     if not isinstance(init.e_map, DecoupledFunction):
         raise TypeError("init.e_map must be a DecoupledFunction")
-    return _fit(init, rec, lines, weights, max_iterations)
+    return _fit(init, rec, lines, max_iterations)
 
 
-def _fit(model: PnlssModel, rec: SignalRecord, lines, weights,
+def _fit(model: PnlssModel, rec: SignalRecord, lines,
          max_iterations: int) -> tuple[PnlssModel, FitReport]:
     u = rec.input
-    bins, sqrt_w, y_f = _freq_residual_factory(rec, lines, weights)
+    bins = np.asarray(lines, dtype=int) * rec.num_periods
+    y_f = np.fft.rfft(rec.output)[bins]
 
     def residual(theta):
         m = _unpack(theta, model)
         sim = simulate_pnlss(m, u)
         if sim.diverged:
             return None, None
-        r_c = (y_f - np.fft.rfft(sim.y)[bins]) / sqrt_w
+        r_c = y_f - np.fft.rfft(sim.y)[bins]
         return np.concatenate([r_c.real, r_c.imag]), (m, sim)
 
     def jacobian(theta, state):
         m, sim = state
-        j_c = -np.fft.rfft(_output_jacobian(m, sim.x_traj, u), axis=0)[bins] / sqrt_w[:, None]
+        j_c = -np.fft.rfft(_output_jacobian(m, sim.x_traj, u), axis=0)[bins]
         return np.concatenate([j_c.real, j_c.imag], axis=0)
 
     # the engine hands back the state of its final point: the report reads
@@ -509,7 +472,7 @@ def _fit(model: PnlssModel, rec: SignalRecord, lines, weights,
     return final, FitReport(
         cost_trajectory=costs,
         final_rms_time=float(np.sqrt(np.mean((rec.output - sim.y) ** 2))),
-        final_error_per_line=np.abs(y_f - np.fft.rfft(sim.y)[bins]) / sqrt_w,
+        final_error_per_line=np.abs(y_f - np.fft.rfft(sim.y)[bins]),
         iterations=iters,
         status=status,
     )

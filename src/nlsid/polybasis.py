@@ -8,8 +8,8 @@ scaled by the multinomials, it expands powers ``(v . z)^j`` of a projection.
 :func:`step_kernel` generates the one per-sample recursion, of the NARX free
 run and of the PNLSS simulation alike; it makes the same products (one line
 per plan entry) in the same order on Python floats, so simulations, fit
-Jacobians and the decoupler see identical monomials.  :class:`PolyMap`
-couples a basis with coefficients.
+Jacobians and the decoupler see identical monomials; both simulations return
+a :class:`SimResult`.  :class:`PolyMap` couples a basis with coefficients.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .simulators import DIVERGENCE_LIMIT
 
 MAX_MONOMIALS = 10**7
 CHAIN_TERMS = 100      # terms per statement of a generated dot product
@@ -34,9 +36,10 @@ def monomial_count(n_vars: int, d_min: int, d_max: int) -> int:
 class MonomialBasis:
     """Ordered monomial basis in ``n_vars`` variables: by total degree, then
     by descending leading exponents (graded lex), stable across runs and
-    serialization round-trips.  An exponent of another length, with a
-    negative or non-integer entry, or of a degree outside
-    ``[degree_min, degree_max]`` is a ValueError."""
+    serialization round-trips.  Fewer than one variable, a degree range
+    outside ``0 <= degree_min <= degree_max``, or an exponent of another
+    length, with a negative or non-integer entry, or of a degree outside the
+    range is a ValueError."""
 
     n_vars: int
     degree_min: int
@@ -44,6 +47,11 @@ class MonomialBasis:
     exponents: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __post_init__(self):
+        if self.n_vars < 1:
+            raise ValueError(f"n_vars must be >= 1, got {self.n_vars}")
+        if not 0 <= self.degree_min <= self.degree_max:
+            raise ValueError(f"need 0 <= d_min <= d_max, got ({self.degree_min}, "
+                             f"{self.degree_max})")
         for e in self.exponents:
             if (len(e) != self.n_vars or not all(isinstance(k, int) and k >= 0 for k in e)
                     or not self.degree_min <= sum(e) <= self.degree_max):
@@ -129,6 +137,18 @@ class MonomialPlan:
         return table
 
 
+@dataclass(frozen=True)
+class SimResult:
+    """A generated simulation's output, its states at each sample (zero
+    before the first simulated sample and from the divergent one on), and its
+    divergence status."""
+
+    y: np.ndarray
+    x_traj: np.ndarray
+    diverged: bool
+    divergence_index: int | None
+
+
 @functools.cache
 def step_kernel(n: int, m: int, levels: tuple, out_cols: tuple, state_rows: tuple,
                 branch_degrees: tuple = ()):
@@ -202,17 +222,30 @@ def step_kernel(n: int, m: int, levels: tuple, out_cols: tuple, state_rows: tupl
     return namespace["kernel"]
 
 
+def _run_kernel(kernel, u: list, x: list, params: list, y: np.ndarray, start: int) -> SimResult:
+    """Run a :func:`step_kernel` from the start state ``x`` into ``y`` from
+    sample ``start`` on (``y`` holds the samples before it).  Where the run
+    stops, at an output or a state not within ``DIVERGENCE_LIMIT``, the
+    output holds its last value before (zero at sample 0) to the end."""
+    ys, xs, diverged = kernel(u, x, params, DIVERGENCE_LIMIT)
+    stop = start + len(ys)
+    y[start:stop] = ys
+    x_traj = np.zeros((len(y), len(x)))
+    x_traj[start:stop] = np.frombuffer(xs).reshape(len(ys), len(x))
+    if not diverged:
+        return SimResult(y, x_traj, False, None)
+    t = stop - 1
+    y[t:] = y[t - 1] if t > 0 else 0.0
+    return SimResult(y, x_traj, True, t)
+
+
 def enumerate_monomials(n_vars: int, d_min: int, d_max: int) -> MonomialBasis:
     """Enumerate all monomials in ``n_vars`` variables with total degree in
     ``[d_min, d_max]``, in the order of their :class:`MonomialPlan`.
 
-    Raises ValueError if the degree range is invalid or the basis would
-    exceed ``MAX_MONOMIALS`` terms.
+    Raises ValueError if the range is not a :class:`MonomialBasis` range or
+    the basis would exceed ``MAX_MONOMIALS`` terms.
     """
-    if n_vars < 1:
-        raise ValueError(f"n_vars must be >= 1, got {n_vars}")
-    if not (0 <= d_min <= d_max):
-        raise ValueError(f"need 0 <= d_min <= d_max, got ({d_min}, {d_max})")
     count = monomial_count(n_vars, d_min, d_max)
     if count > MAX_MONOMIALS:
         raise ValueError(f"basis would hold {count} monomials (limit {MAX_MONOMIALS})")
@@ -288,11 +321,6 @@ class PolyMap:
         basis = MonomialBasis(d["n_vars"], d["d_min"], d["d_max"],
                               tuple(tuple(e) for e in d["exponents"]))
         return cls(basis, np.asarray(d["coeffs"], dtype=float))
-
-    @classmethod
-    def zeros(cls, n_outputs: int, n_vars: int, d_min: int, d_max: int) -> "PolyMap":
-        basis = enumerate_monomials(n_vars, d_min, d_max)
-        return cls(basis, np.zeros((n_outputs, len(basis))))
 
     # State-map interface, shared with decouple.DecoupledFunction: the PNLSS
     # fit reads and writes a map only through these.

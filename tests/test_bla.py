@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
-from nlsid.bla import BlaModel, bla_shift_study, estimate_bla_spectral
+from nlsid.bla import bla_shift_study, estimate_bla_spectral
 from nlsid.signals import (SignalRecord, design_multisine, flat_amplitude_spec,
                            full_grid, random_phases, tile_periods)
 from nlsid.simulators import NoiseSpec, default_duffing, simulate_duffing, simulate_static
@@ -92,16 +92,6 @@ def test_vanishing_input_line_rejected():
     bad_spec = flat_amplitude_spec(64, 1.0, (1, 3, 5, 7), rms=1.0)  # line 7 unexcited in data
     with pytest.raises(ValueError, match="line"):
         estimate_bla_spectral([rec], bad_spec)
-
-
-def test_bla_serialization_round_trip():
-    spec = flat_amplitude_spec(64, 64.0, full_grid(64, 20), rms=1.0)
-    recs = _linear_records(spec, (0.7,), (1.0, -0.2), 3)
-    model = estimate_bla_spectral(recs, spec)
-    back = BlaModel.from_dict(model.to_dict())
-    assert np.array_equal(back.frf, model.frf)
-    assert np.array_equal(back.frf_variance_total, model.frf_variance_total)
-    assert back.period_samples == model.period_samples
 
 
 FS = 200.0

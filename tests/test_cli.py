@@ -340,8 +340,7 @@ def test_validate_seeds_the_narx_free_run_with_the_samples_before_it(tmp_path):
     # samples just before it, not the first na of the record
     rng = np.random.default_rng(11)
     basis = enumerate_monomials(3, 0, 2)
-    model = NarxModel(1, 2, False, PolyMap(basis, 0.1 * rng.normal(size=(1, len(basis)))),
-                      ("y[t-1]", "u[t-1]", "u[t-2]"))
+    model = NarxModel(1, 2, False, PolyMap(basis, 0.1 * rng.normal(size=(1, len(basis)))))
     u = 0.5 * rng.normal(size=256)
     y = simulate_free_run(model, u, y_init=np.array([0.3])).y
     write_signal_record(tmp_path / "record.csv", SignalRecord(1.0, 256, 1, u, y))
@@ -417,7 +416,7 @@ def test_decouple_cli_worked_polymap(tmp_path):
 def test_decouple_bad_config_value_exit_2(tmp_path, capsys, field, value):
     from nlsid.polybasis import PolyMap
     from nlsid.serialize import write_json as wj
-    wj(tmp_path / "f.json", PolyMap.zeros(2, 2, 0, 3).to_dict())
+    wj(tmp_path / "f.json", PolyMap(enumerate_monomials(2, 0, 3), np.zeros((2, 10))).to_dict())
     cfg = {"schema_version": 1, "polymap": str(tmp_path / "f.json"), "r": 2, "seed": 0}
     cfg[field] = value
     out = tmp_path / "dec"
@@ -432,7 +431,7 @@ def test_decouple_bad_config_value_exit_2(tmp_path, capsys, field, value):
 def test_non_integer_seed_exit_2(tmp_path, capsys, command, seed):
     from nlsid.polybasis import PolyMap
     from nlsid.serialize import write_json as wj
-    wj(tmp_path / "f.json", PolyMap.zeros(2, 2, 0, 3).to_dict())
+    wj(tmp_path / "f.json", PolyMap(enumerate_monomials(2, 0, 3), np.zeros((2, 10))).to_dict())
     cfg = {"design": design_config(),
            "simulate": simulate_config({"type": "static", "coefficients": [0.0, 1.0]}),
            "decouple": {"schema_version": 1, "polymap": str(tmp_path / "f.json"), "r": 2},
@@ -646,8 +645,7 @@ def test_missing_input_file_exit_2(tmp_path, capsys, command, field):
 
 def test_validate_record_shorter_than_the_model_lags_exit_2(tmp_path, capsys):
     basis = enumerate_monomials(5, 0, 1)
-    model = NarxModel(2, 2, True, PolyMap(basis, np.full((1, len(basis)), 0.1)),
-                      ("y[t-1]", "y[t-2]", "u[t]", "u[t-1]", "u[t-2]"))
+    model = NarxModel(2, 2, True, PolyMap(basis, np.full((1, len(basis)), 0.1)))
     write_json(tmp_path / "narx.json", model.to_dict())
     write_signal_record(tmp_path / "rec.csv", SignalRecord(1.0, 1, 1, np.ones(1), np.ones(1)))
     cfg = write_config(tmp_path, "val.json", {"schema_version": 1,
@@ -680,15 +678,28 @@ def test_validate_record_too_short_for_max_lag_exit_2(tmp_path, capsys, override
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("e_map", [
-    {"n_vars": 3, "d_min": 2, "d_max": 3, "exponents": [[5, 0, 0]], "coeffs": [[0.1], [0.0]]},
-    {"n_vars": 3, "d_min": 2, "d_max": 3, "exponents": [[1, 1]], "coeffs": [[0.1], [0.0]]},
-    {"n_vars": 3, "d_min": 2, "d_max": 2, "exponents": [[3, 0, 0]], "coeffs": [[0.1], [0.0]]},
-    {"decoupled": {"W": [[1.0], [0.0]], "V": [[1.0], [0.0], [0.0]], "branches": [[]]}},
-], ids=["degree-above-d_max", "length-not-n_vars", "d_max-below-degree", "empty-branch"])
-def test_validate_model_that_cannot_run_exit_2(tmp_path, capsys, e_map):
-    linear = PnlssModel(np.diag([0.5, 0.3]), np.ones(2), np.ones(2), 0.0, None, None, np.zeros(2))
-    write_json(tmp_path / "model.json", dict(linear.to_dict(), E=e_map))
+LINEAR = PnlssModel(np.diag([0.5, 0.3]), np.ones(2), np.ones(2), 0.0, None, None,
+                    np.zeros(2)).to_dict()
+# na 2, nb 2 and the direct term: 5 regressors
+NARX = NarxModel(2, 2, True, PolyMap(enumerate_monomials(5, 0, 1), np.full((1, 6), 0.1))).to_dict()
+
+
+@pytest.mark.parametrize("model", [
+    dict(LINEAR, E={"n_vars": 3, "d_min": 2, "d_max": 3, "exponents": [[5, 0, 0]],
+                    "coeffs": [[0.1], [0.0]]}),
+    dict(LINEAR, E={"n_vars": 3, "d_min": 2, "d_max": 3, "exponents": [[1, 1]],
+                    "coeffs": [[0.1], [0.0]]}),
+    dict(LINEAR, E={"n_vars": 3, "d_min": 2, "d_max": 2, "exponents": [[3, 0, 0]],
+                    "coeffs": [[0.1], [0.0]]}),
+    dict(LINEAR, E={"decoupled": {"W": [[1.0], [0.0]], "V": [[1.0], [0.0], [0.0]],
+                                  "branches": [[]]}}),
+    dict(LINEAR, E={"n_vars": 3, "d_min": 3, "d_max": 2, "exponents": [], "coeffs": [[], []]}),
+    dict(NARX, **PolyMap(enumerate_monomials(3, 0, 1), np.full((1, 4), 0.1)).to_dict()),
+    dict(NARX, na=3),
+], ids=["degree-above-d_max", "length-not-n_vars", "d_max-below-degree", "empty-branch",
+        "d_min-above-d_max", "narx-poly-cut", "narx-na-mismatch"])
+def test_validate_model_that_cannot_run_exit_2(tmp_path, capsys, model):
+    write_json(tmp_path / "model.json", model)
     rng = np.random.default_rng(0)
     write_signal_record(tmp_path / "rec.csv",
                         SignalRecord(1.0, 512, 1, rng.normal(size=512), rng.normal(size=512)))

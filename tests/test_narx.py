@@ -172,8 +172,7 @@ def random_narx(rng, na, nb, direct_term, degree):
     for i in range(n_reg):
         unit = tuple(int(j == i) for j in range(n_reg))
         coeffs[exps.index(unit)] = (0.6 / na if i < na else 1.0) * rng.uniform(-1, 1)
-    layout = tuple(f"phi{i}" for i in range(n_reg))
-    return NarxModel(na, nb, direct_term, PolyMap(basis, coeffs[None, :]), layout)
+    return NarxModel(na, nb, direct_term, PolyMap(basis, coeffs[None, :]))
 
 
 def assert_free_run_matches_reference(model, u, y_init):
@@ -217,7 +216,7 @@ def test_free_run_feedback_divergence_matches_numpy_reference():
     model = random_narx(rng, 2, 1, True, 2)
     coeffs = model.poly.coefficients.copy()
     coeffs[0, [tuple(e) for e in model.poly.basis.exponents].index((1, 0, 0, 0))] = 2.0
-    unstable = NarxModel(2, 1, True, PolyMap(model.poly.basis, coeffs), model.regressor_layout)
+    unstable = NarxModel(2, 1, True, PolyMap(model.poly.basis, coeffs))
     res = assert_free_run_matches_reference(unstable, 0.3 * rng.normal(size=80), np.ones(2))
     assert res.diverged
     assert model.max_lag < res.divergence_index < 80
@@ -234,8 +233,7 @@ def test_free_run_reports_divergence_as_a_status(seed, na, nb, direct_term, degr
     model = random_narx(rng, na, nb, direct_term, degree)
     coeffs = model.poly.coefficients.copy()
     coeffs[0, 1] = feedback  # the y(t-1) term
-    model = NarxModel(na, nb, direct_term, PolyMap(model.poly.basis, coeffs),
-                      model.regressor_layout)
+    model = NarxModel(na, nb, direct_term, PolyMap(model.poly.basis, coeffs))
     u = level * rng.normal(size=60)
     if bad_input is not None:
         u[30] = bad_input
@@ -298,8 +296,7 @@ def test_free_run_is_the_scalar_loop_bit_for_bit(seed, na, nb, direct_term, degr
     if feedback is not None and na > 0:
         coeffs = model.poly.coefficients.copy()
         coeffs[0, 1] = feedback  # the y(t-1) term
-        model = NarxModel(na, nb, direct_term, PolyMap(model.poly.basis, coeffs),
-                          model.regressor_layout)
+        model = NarxModel(na, nb, direct_term, PolyMap(model.poly.basis, coeffs))
     u = 0.3 * rng.normal(size=60)
     if spike is not None:
         u[at] = spike
@@ -321,8 +318,7 @@ def test_initial_output_beyond_the_limit_stops_the_first_sample():
     coeffs = np.zeros_like(template.poly.coefficients)
     coeffs[0, exps.index((1, 0, 0))] = 0.1
     coeffs[0, exps.index((0, 1, 0))] = 1.0
-    model = NarxModel(1, 2, False, PolyMap(template.poly.basis, coeffs),
-                      template.regressor_layout)
+    model = NarxModel(1, 2, False, PolyMap(template.poly.basis, coeffs))
     res = simulate_free_run(model, np.ones(6), y_init=np.array([2e6]))
     assert (res.diverged, res.divergence_index) == (True, 2)
     assert np.array_equal(res.y, [0.0, 2e6, 2e6, 2e6, 2e6, 2e6])
@@ -358,7 +354,6 @@ def test_free_run_divergence_flagged():
     unstable = NarxModel(
         na=1, nb=1, direct_term=basis_model.direct_term,
         poly=type(basis_model.poly)(basis_model.poly.basis, coeffs),
-        regressor_layout=basis_model.regressor_layout,
     )
     res = simulate_free_run(unstable, np.zeros(100), y_init=np.array([1.0]))
     assert res.diverged
@@ -377,8 +372,7 @@ def test_free_run_sums_left_to_right():
     coeffs[0, exps.index((0, 0))] = 1e16
     coeffs[0, exps.index((1, 0))] = 1.0
     coeffs[0, exps.index((0, 1))] = -1e16
-    model = NarxModel(0, 1, True, PolyMap(template.poly.basis, coeffs),
-                      template.regressor_layout)
+    model = NarxModel(0, 1, True, PolyMap(template.poly.basis, coeffs))
     assert math.fsum([1e16, 1.0, -1e16]) == 1.0
     res = simulate_free_run(model, np.ones(4), y_init=np.zeros(0))
     assert not res.diverged
@@ -401,8 +395,7 @@ def test_training_cost_is_a_minimum(duffing_narx):
             coeffs = model.poly.coefficients.copy()
             coeffs.flat[idx] += delta
             perturbed = NarxModel(model.na, model.nb, model.direct_term,
-                                  type(model.poly)(model.poly.basis, coeffs),
-                                  model.regressor_layout)
+                                  type(model.poly)(model.poly.basis, coeffs))
             assert equation_error_cost(perturbed) >= base_cost - 1e-15
 
 
@@ -419,3 +412,32 @@ def test_narx_json_round_trip(duffing_narx):
     pred_b = predict_one_step(back, train)
     assert np.array_equal(pred_a[~np.isnan(pred_a)], pred_b[~np.isnan(pred_b)])
     assert back.regressor_layout == model.regressor_layout
+
+
+def test_model_holds_a_polynomial_over_exactly_its_regressors():
+    basis = enumerate_monomials(5, 0, 1)  # na 2, nb 2 and the direct term
+    model = NarxModel(2, 2, True, PolyMap(basis, np.zeros((1, 6))))
+    assert model.regressor_layout == ("y[t-1]", "y[t-2]", "u[t]", "u[t-1]", "u[t-2]")
+    with pytest.raises(ValueError, match="5 regressors to one output, not 3 variables"):
+        NarxModel(2, 2, True, PolyMap(enumerate_monomials(3, 0, 1), np.zeros((1, 4))))
+    with pytest.raises(ValueError, match="5 regressors to one output, not 5 variables to 2"):
+        NarxModel(2, 2, True, PolyMap(basis, np.zeros((2, 6))))
+    with pytest.raises(ValueError, match="lags must be >= 0"):
+        NarxModel(-1, 5, True, PolyMap(basis, np.zeros((1, 6))))
+    d = model.to_dict()
+    with pytest.raises(ValueError, match="regressor_layout"):
+        NarxModel.from_dict(dict(d, regressor_layout=d["regressor_layout"][::-1]))
+
+
+def test_free_run_states_are_the_output_lags():
+    u = np.array([1.0, 2.0, -1.0, 4.0])
+    # y(t) = u(t) + 0.5 u(t-1): no output lag, so no state
+    moving_average = NarxModel(0, 1, True, PolyMap(enumerate_monomials(2, 0, 1), [[0.0, 1.0, 0.5]]))
+    res = simulate_free_run(moving_average, u, y_init=np.zeros(0))
+    assert res.x_traj.shape == (4, 0)
+    assert np.array_equal(res.y, [0.0, 2.5, 0.0, 3.5])
+    # y(t) = 0.5 y(t-1) + u(t-2): the state at t is y(t-1), zero before max_lag
+    model = NarxModel(1, 2, False, PolyMap(enumerate_monomials(3, 0, 1), [[0.0, 0.5, 0.0, 1.0]]))
+    res = simulate_free_run(model, u, y_init=np.array([3.0]))
+    assert np.array_equal(res.y, [0.0, 3.0, 2.5, 3.25])
+    assert np.array_equal(res.x_traj[:, 0], [0.0, 0.0, 3.0, 2.5])
