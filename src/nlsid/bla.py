@@ -17,6 +17,7 @@ from .nonparam import sample_statistics
 from .signals import MultisineSpec, SignalRecord, design_multisine, random_phases
 
 MIN_INPUT_MAGNITUDE_EPS = 1e3  # multiples of machine epsilon
+SK_ITERATIONS = 20             # Sanathanan-Koerner reweightings of the rational fit
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class ShiftStudyRow:
 
 def bla_shift_study(system, spec: MultisineSpec, levels, num_realizations: int = 4,
                     num_periods: int = 2, seed: int = 0) -> list[ShiftStudyRow]:
-    """BLA per excitation level with parabolic resonance localization.
+    """BLA per excitation level, with the resonance of a second-order fit.
 
     Parameters
     ----------
@@ -135,9 +136,11 @@ def bla_shift_study(system, spec: MultisineSpec, levels, num_realizations: int =
     Returns
     -------
     list of ShiftStudyRow
-        Resonance is the parabolic-interpolation peak of |G| over the excited
-        lines, or None when the maximum sits on a band edge (no interior
-        resonance).  ``distortion_level`` is the mean total FRF std over lines.
+        ``resonance_hz`` is the damped frequency of the fitted pole pair: the
+        BLA of each level gets the rational fit that ``init_linear_from_bla``
+        makes, of order 2, and a complex pole ``p`` gives
+        ``|angle(p)| fs / 2 pi``.  It is None when the two poles are real.
+        ``distortion_level`` is the mean total FRF std over lines.
     """
     levels = list(levels)
     if len(levels) < 2:
@@ -155,24 +158,40 @@ def bla_shift_study(system, spec: MultisineSpec, levels, num_realizations: int =
             u = design_multisine(real, num_periods)
             recs.append(system(u, spec.sample_rate_hz))
         model = estimate_bla_spectral(recs, scaled)
+        omega = 2.0 * np.pi * model.lines / model.period_samples
+        _, den = _rational_fit_sk(omega, model.frf, 2)
+        pole = np.roots(den)[0]
+        resonance = abs(np.angle(pole)) * model.sample_rate_hz / (2.0 * np.pi)
         rows.append(
             ShiftStudyRow(
                 level_rms=float(level),
-                resonance_hz=_parabolic_peak(model),
+                resonance_hz=None if pole.imag == 0 else float(resonance),
                 distortion_level=float(np.mean(np.sqrt(model.frf_variance_total))),
             )
         )
     return rows
 
 
-def _parabolic_peak(model: BlaModel) -> float | None:
-    """Three-point parabolic fit around the max-|FRF| line; None on band edges."""
-    mag = np.abs(model.frf)
-    i = int(np.argmax(mag))
-    if i == 0 or i == len(mag) - 1:
-        return None
-    y0, y1, y2 = mag[i - 1], mag[i], mag[i + 1]
-    denom = y0 - 2.0 * y1 + y2
-    offset = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
-    f = model.frequency_hz
-    return float(f[i] + offset * (f[i + 1] - f[i]))
+def _rational_fit_sk(omega: np.ndarray, g: np.ndarray,
+                     order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete-time rational fit b(z)/a(z) of given order to FRF samples.
+
+    Linear (Levy) least squares with Sanathanan-Koerner reweighting; real
+    coefficients via stacked real/imaginary parts.
+    """
+    z = np.exp(1j * omega)
+    powers = z[:, None] ** (-np.arange(order + 1)[None, :])  # [1, z^-1, ...]
+    weight = np.ones(len(z))
+    den = np.ones(order + 1)
+    for _ in range(SK_ITERATIONS):
+        # unknowns: [b_0..b_n, a_1..a_n];  g * (1 + sum a_k z^-k) = sum b_k z^-k
+        lhs = np.concatenate([powers, -g[:, None] * powers[:, 1:]], axis=1)
+        w = weight[:, None]
+        m = np.concatenate([(w * lhs).real, (w * lhs).imag], axis=0)
+        v = np.concatenate([(weight * g).real, (weight * g).imag])
+        sol, *_ = np.linalg.lstsq(m, v, rcond=None)
+        num = sol[: order + 1]
+        den = np.concatenate([[1.0], sol[order + 1 :]])
+        a_val = powers @ den
+        weight = 1.0 / np.maximum(np.abs(a_val), 1e-12)
+    return num, den

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-DAMPING_CEILING = 1e14
+DAMPING_RANGE = 1e17  # lam stops rising at this multiple of its start
 
 
 def levenberg_marquardt(residual, jacobian, theta0: np.ndarray, max_iterations: int,
@@ -19,8 +19,9 @@ def levenberg_marquardt(residual, jacobian, theta0: np.ndarray, max_iterations: 
 
     Accepted steps strictly decrease the cost; convergence on cost requires
     three consecutive accepted steps below ``cost_tol`` relative drop.
-    Persistent divergence at the damping ceiling raises; a stall (no
-    improving step, all finite) just stops.
+    Persistent divergence at the damping ceiling, ``DAMPING_RANGE`` times
+    the starting ``lam``, raises; a stall (no improving step, all finite)
+    just stops.
 
     ``scaled_damping`` switches the damping matrix from ``lam * I`` to the
     Marquardt form ``lam * diag(J^T J)``, which is insensitive to parameter
@@ -39,7 +40,7 @@ def levenberg_marquardt(residual, jacobian, theta0: np.ndarray, max_iterations: 
     cost = float(r @ r)
     costs = [cost]
     n_par = len(theta)
-    lam = None
+    lam = lam_max = None
     status = "max_iterations"
     it = 0
     small_drops = 0
@@ -48,6 +49,7 @@ def levenberg_marquardt(residual, jacobian, theta0: np.ndarray, max_iterations: 
         if lam is None:
             lam = 1e-3 if scaled_damping else max(
                 1e-3 * float(np.einsum("ij,ij->", j, j)) / n_par, 1e-300)
+            lam_max = lam * DAMPING_RANGE
         grad = j.T @ r
         if np.max(np.abs(grad)) < grad_tol:
             status = "gradient_converged"
@@ -57,7 +59,7 @@ def levenberg_marquardt(residual, jacobian, theta0: np.ndarray, max_iterations: 
         damping = np.diag(np.where(diag > 0, diag, 1.0))
         accepted = False
         any_finite_trial = False
-        while lam < DAMPING_CEILING:
+        while lam < lam_max:
             try:
                 step = np.linalg.solve(jtj + lam * damping, -grad)
             except np.linalg.LinAlgError:

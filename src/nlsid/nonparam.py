@@ -142,12 +142,11 @@ def classify_lines(spec: MultisineSpec, stats: LineStatistics) -> DistortionRepo
 class ProcessNoiseReport:
     """Stationarity check of the non-periodic output residual.
 
-    ``time_variance`` is the across-period variance per within-period sample
-    index after moving-average smoothing; a large max/min ratio indicates
-    input-dependent (process) noise.
+    ``stationarity_ratio`` is the max/min ratio of the across-period variance
+    per within-period sample index after moving-average smoothing; a large
+    ratio indicates input-dependent (process) noise.
     """
 
-    time_variance: np.ndarray
     stationarity_ratio: float
     verdict: str
 
@@ -186,4 +185,4 @@ def detect_process_noise(rec: SignalRecord,
     else:
         ratio = vmax / vmin
     verdict = "nonstationary" if ratio > STATIONARITY_THRESHOLD else "stationary"
-    return ProcessNoiseReport(smoothed, ratio, verdict)
+    return ProcessNoiseReport(ratio, verdict)

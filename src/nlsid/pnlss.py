@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bla import BlaModel
+from .bla import BlaModel, _rational_fit_sk
 from .decouple import DecoupledFunction, _initial_decoupling
 from .lm import levenberg_marquardt
 from .polybasis import (MonomialPlan, PolyMap, SimResult, _run_kernel, enumerate_monomials,
@@ -35,7 +35,6 @@ from .signals import SignalRecord
 COST_TOL = 1e-9        # LM stops after three accepted steps below this relative drop
 GRAD_TOL = 1e-8        # ... or once the gradient's largest entry is below this
 SENS_BLOCK = 32        # samples per block of the sensitivity recursion (16..128 time alike)
-SK_ITERATIONS = 20     # Sanathanan-Koerner reweightings of the linear init's rational fit
 
 
 @dataclass(frozen=True)
@@ -175,31 +174,6 @@ def simulate_pnlss(model: PnlssModel, u: np.ndarray) -> SimResult:
                          branch_degrees)
     params = [*y_row[out_cols].tolist(), *x_rows[:, state_cols].ravel().tolist(), *branch_params]
     return _run_kernel(kernel, u.tolist(), model.x0.tolist(), params, np.zeros(len(u)), 0)
-
-
-def _rational_fit_sk(omega: np.ndarray, g: np.ndarray,
-                     order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete-time rational fit b(z)/a(z) of given order to FRF samples.
-
-    Linear (Levy) least squares with Sanathanan-Koerner reweighting; real
-    coefficients via stacked real/imaginary parts.
-    """
-    z = np.exp(1j * omega)
-    powers = z[:, None] ** (-np.arange(order + 1)[None, :])  # [1, z^-1, ...]
-    weight = np.ones(len(z))
-    den = np.ones(order + 1)
-    for _ in range(SK_ITERATIONS):
-        # unknowns: [b_0..b_n, a_1..a_n];  g * (1 + sum a_k z^-k) = sum b_k z^-k
-        lhs = np.concatenate([powers, -g[:, None] * powers[:, 1:]], axis=1)
-        w = weight[:, None]
-        m = np.concatenate([(w * lhs).real, (w * lhs).imag], axis=0)
-        v = np.concatenate([(weight * g).real, (weight * g).imag])
-        sol, *_ = np.linalg.lstsq(m, v, rcond=None)
-        num = sol[: order + 1]
-        den = np.concatenate([[1.0], sol[order + 1 :]])
-        a_val = powers @ den
-        weight = 1.0 / np.maximum(np.abs(a_val), 1e-12)
-    return num, den
 
 
 def _reflect_unstable(den: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -537,6 +537,17 @@ def test_pipeline_resume_after_config_change_matches_fresh_run(tmp_path):
     assert read_json(fresh / "pipeline_summary.json")["verdict"] == "linear adequate"
 
 
+def test_readme_pipeline_with_a_pnlss_fit_runs(tmp_path):
+    # the unscaled start of the damping follows |J|_F^2 / n_par, and |J|_F^2
+    # grows about 1e3-fold over this fit; a damping ceiling fixed at 1e14
+    # stopped it with exit 3 after 23 accepted steps
+    cfg = write_config(tmp_path, "pipe.json",
+                       dict(README_PIPE_CFG, fit={"type": "pnlss", "max_iterations": 30}))
+    assert run_cli("pipeline", "--config", cfg, "--out", str(tmp_path / "run")) == 0
+    report = read_json(tmp_path / "run" / "fit" / "pnlss_fit_report.json")
+    assert report["iterations"] == 30
+
+
 def test_pipeline_rerun_byte_identical_reports(tmp_path):
     cfg = write_config(tmp_path, "pipe.json", PIPE_CFG)
     out_a = tmp_path / "a"

@@ -167,7 +167,6 @@ def test_detect_zero_noise_degenerate():
     y = tile_periods(np.sin(2 * np.pi * np.arange(n) / n), p)
     rec = SignalRecord(float(n), n, p, np.zeros(n * p), y)
     report = detect_process_noise(rec)
-    assert np.allclose(report.time_variance, 0.0)
     assert report.stationarity_ratio == 1.0
     assert report.verdict == "stationary"
 
