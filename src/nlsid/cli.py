@@ -35,6 +35,7 @@ from .serialize import (read_json, read_signal_record, write_csv, write_json,
 
 SCHEMA_VERSION = 1
 PIPELINE_WARMUP = 64  # samples the pipeline's validate stage leaves out
+VALIDATION_MAX_LAG = 40  # default largest lag of validate's residual tests
 _REQUIRED = object()
 
 
@@ -129,9 +130,18 @@ def _stage_record(config: dict, record: signals.SignalRecord | None) -> signals.
     return record if record is not None else _load("record", _field(config, "record", str))
 
 
-def _check_longer(samples: int, max_lag: int, source: str) -> None:
-    if samples <= max_lag:
-        raise ConfigError(f"record of {samples} samples is too short for lag {max_lag} ({source})")
+def _check_longer(samples: int, span: int, source: str, what: str = "lag") -> None:
+    """A record must be longer than a model's largest lag or its memory."""
+    if samples <= span:
+        raise ConfigError(f"record of {samples} samples is too short for {what} {span} ({source})")
+
+
+def _check_on_grid(rec: signals.SignalRecord, spec: signals.MultisineSpec) -> None:
+    """A record analysed against ``spec`` must be sampled on its frequency grid."""
+    if (rec.period_samples, rec.sample_rate_hz) != (spec.period_samples, spec.sample_rate_hz):
+        raise ConfigError(f"record of period_samples {rec.period_samples} at "
+                          f"{rec.sample_rate_hz} Hz is off the grid of config field 'spec' "
+                          f"(period_samples {spec.period_samples} at {spec.sample_rate_hz} Hz)")
 
 
 def _check_validated(samples: int, warmup: int, max_lag: int, after: str) -> None:
@@ -287,6 +297,7 @@ def cmd_analyze(config: dict, out: Path, seed_override: int | None,
         raise ConfigError(f"config field 'smoothing_window' ({smoothing_window}) must be at most "
                           f"the record's period of {rec.period_samples} samples")
     spec = _load("spec", _field(config, "spec", str), signals.MultisineSpec.from_dict)
+    _check_on_grid(rec, spec)
     _require_odd_grid(spec.grid_kind, "analyze")
     report = nonparam.classify_lines(spec, nonparam.sample_statistics(rec, discard))
     tiny = np.finfo(float).tiny
@@ -313,14 +324,11 @@ def cmd_bla(config: dict, out: Path, seed_override: int | None,
     discard = _field(config, "discard_periods", int, 0, minimum=0)
     recs = records if records is not None else [
         _load("records", p) for p in _field(config, "records", [str])]
+    spec = _load("spec", _field(config, "spec", str), signals.MultisineSpec.from_dict)
     for rec in recs:
         _check_retained(rec, discard)
-    spec = _load("spec", _field(config, "spec", str), signals.MultisineSpec.from_dict)
-    model = bla_mod.estimate_bla_spectral(recs, spec, discard)
-    write_json(out / "bla.json", model.to_dict())
-    write_csv(out / "bla.csv", ["freq_hz", "re_g", "im_g", "var_total", "var_noise"],
-              [model.frequency_hz, model.frf.real, model.frf.imag,
-               model.frf_variance_total, model.frf_variance_noise])
+        _check_on_grid(rec, spec)
+    write_json(out / "bla.json", bla_mod.estimate_bla_spectral(recs, spec, discard).to_dict())
 
 
 # A fit command's fields, read first; the pipeline checks its ``fit`` with them.
@@ -359,6 +367,7 @@ def cmd_fit_pnlss(config: dict, out: Path, seed_override: int | None,
     spec = _load("spec", _field(config, "spec", str), signals.MultisineSpec.from_dict)
     _check_state_dim(spec, fields["state_dim"])
     rec = record if record is not None else _load("record", paths[0])
+    _check_on_grid(rec, spec)
     lin, frf_rms = pnlss.init_linear_from_bla(bla_mod.estimate_bla_spectral([rec], spec),
                                               fields.pop("state_dim"))
     lines = fields.pop("lines")
@@ -385,6 +394,7 @@ def cmd_fit_volterra(config: dict, out: Path, seed_override: int | None,
                      record: signals.SignalRecord | None = None) -> None:
     fields = _volterra_fields(config)
     rec = _stage_record(config, record)
+    _check_longer(len(rec.output), fields["m"], "config field 'memory'", "memory")
     write_json(out / "volterra.json", volterra.fit_volterra(rec, **fields).to_dict())
 
 
@@ -451,33 +461,34 @@ def cmd_validate(config: dict, out: Path, seed_override: int | None,
                  record: signals.SignalRecord | None = None) -> None:
     _check_config(config, {"record", "model", "max_lag", "warmup"})
     warmup = _field(config, "warmup", int, 0, minimum=0)
-    max_lag = _field(config, "max_lag", int, 40, minimum=1)
+    max_lag = _field(config, "max_lag", int, VALIDATION_MAX_LAG, minimum=1)
     rec = _stage_record(config, record)
     model = _load("model", _field(config, "model", str), _model)
     if isinstance(model, narx_mod.NarxModel):
         _check_longer(len(rec.output), model.max_lag, "the model's maximum lag")
+    elif isinstance(model, volterra.VolterraModel):
+        _check_longer(len(rec.output), model.memory, "the model's memory", "memory")
     _check_validated(len(rec.output), warmup, max_lag, f"config field 'warmup' ({warmup})")
     y_sim = _simulate(model, rec)
     report = validate.validation_report(rec.output[warmup:], y_sim[warmup:],
                                         rec.input[warmup:], max_lag)
     write_json(out / "validation.json", asdict(report))
-    write_csv(out / "correlations.csv", ["lag", "autocorr", "crosscorr"],
-              [np.arange(1, max_lag + 1), report.autocorr, report.crosscorr])
 
 
 def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
                  resume: bool = False) -> None:
-    """Chain design -> simulate -> analyze -> bla -> fit -> validate.
+    """Chain simulate -> analyze -> bla -> fit -> validate.
 
     Each stage writes into its own subdirectory; manifest.json records a hash
-    per stage, which covers the previous stage's hash, so a resumed run
-    re-executes a missing or changed stage and every stage after it.
+    and the output files per stage.  The hash covers the previous stage's
+    hash, so a resumed run re-executes a changed stage or one that misses an
+    output, and every stage after it.
     The pipeline's own fields, its ``excitation``, ``system`` and ``noise``
     objects and its ``fit`` object are read, and the record length checked
-    against a NARX fit's lags and ``max_lag``, before the first stage runs.
-    The stages after ``simulate`` share one parse of its record, made when
-    the first of them runs.  The analysis stage emits the
-    linear-vs-nonlinear verdict.
+    against a NARX fit's lags, a Volterra fit's memory and ``max_lag``,
+    before the first stage runs.  The stages after ``simulate`` read the spec
+    it writes and share one parse of its record, made when the first of them
+    runs.  The analysis stage emits the linear-vs-nonlinear verdict.
     """
     _check_config(config, {"seed", "excitation", "system", "noise", "num_periods",
                            "discard_periods", "fit", "max_lag", "threshold_db"})
@@ -490,20 +501,22 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
     _build_system(system, _build_noise(noise, seed))
     num_periods = _field(config, "num_periods", int, 8, minimum=2)
     discard = _field(config, "discard_periods", int, 2, minimum=0)
-    threshold = _field(config, "threshold_db", float, 6.0)
-    max_lag = _field(config, "max_lag", int, 40, minimum=1)
+    threshold = _field(config, "threshold_db", float, nonparam.DISTORTION_THRESHOLD_DB)
+    max_lag = _field(config, "max_lag", int, VALIDATION_MAX_LAG, minimum=1)
     fit_cfg = dict(_field(config, "fit", dict, {"type": "narx", "na": 2, "nb": 2, "degree": 3}))
     fit_type = _field(fit_cfg, "type", str, "narx")
     fit_cfg.pop("type", None)
-    spec_path = str(out / "design" / "multisine.json")
+    spec_path = str(out / "simulate" / "multisine.json")
     record_path = str(out / "simulate" / "record.csv")
-    # command, field reader, model file and the stage keys beyond schema_version and record
-    fits = {"narx": (cmd_fit_narx, _narx_fields, "narx.json", {}),
-            "pnlss": (cmd_fit_pnlss, _pnlss_fields, "pnlss.json", {"spec": spec_path}),
-            "volterra": (cmd_fit_volterra, _volterra_fields, "volterra.json", {})}
+    # command, field reader, output files (the model's first) and the stage
+    # keys beyond schema_version and record
+    fits = {"narx": (cmd_fit_narx, _narx_fields, ["narx.json"], {}),
+            "pnlss": (cmd_fit_pnlss, _pnlss_fields, ["pnlss.json", "pnlss_fit_report.json"],
+                      {"spec": spec_path}),
+            "volterra": (cmd_fit_volterra, _volterra_fields, ["volterra.json"], {})}
     if fit_type not in fits:
         raise ConfigError(f"unknown fit type '{fit_type}'")
-    fit_cmd, fit_fields, model_file, extra = fits[fit_type]
+    fit_cmd, fit_fields, fit_outputs, extra = fits[fit_type]
     fit_stage_cfg = {"schema_version": 1, "record": record_path, **extra, **fit_cfg}
     fields = fit_fields(fit_stage_cfg)
     if fit_type == "pnlss":
@@ -511,6 +524,8 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
     samples = num_periods * spec.period_samples
     if fit_type == "narx":
         _check_longer(samples, max(fields["na"], fields["nb"]), "config fields 'na', 'nb'")
+    elif fit_type == "volterra":
+        _check_longer(samples, fields["m"], "config field 'memory'", "memory")
     _check_validated(samples, PIPELINE_WARMUP, max_lag,
                      f"the pipeline's {PIPELINE_WARMUP}-sample warmup")
     manifest_path = out / "manifest.json"
@@ -535,14 +550,10 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
                           "outputs": [str(Path(name) / o) for o in outputs]}
         write_json(manifest_path, manifest)
 
-    run_stage("design", excitation, ["multisine.json", "signal.csv"],
-              lambda d: cmd_design({"schema_version": 1, "excitation": excitation,
-                                    "seed": seed, "num_periods": 1}, d, None))
-
     sim_cfg = {"schema_version": 1, "system": system, "excitation": excitation,
                "num_periods": num_periods, "discard_periods": discard, "noise": noise,
                "seed": seed}
-    run_stage("simulate", sim_cfg, ["record.csv", "record.json"],
+    run_stage("simulate", sim_cfg, ["multisine.json", "record.csv", "record.json"],
               lambda d: cmd_simulate(sim_cfg, d, None))
     record = functools.cache(lambda: _load("record", record_path))
 
@@ -557,16 +568,16 @@ def cmd_pipeline(config: dict, out: Path, seed_override: int | None,
                else f"nonlinear recommended, headroom {headroom:.1f} dB")
 
     bla_cfg = {"schema_version": 1, "records": [record_path], "spec": spec_path}
-    run_stage("bla", bla_cfg, ["bla.json", "bla.csv"],
+    run_stage("bla", bla_cfg, ["bla.json"],
               lambda d: cmd_bla(bla_cfg, d, None, [record()]))
 
-    run_stage("fit", fit_stage_cfg, [model_file],
+    run_stage("fit", fit_stage_cfg, fit_outputs,
               lambda d: fit_cmd(fit_stage_cfg, d, None, record()))
 
     validate_cfg = {"schema_version": 1, "record": record_path,
-                    "model": str(out / "fit" / model_file), "max_lag": max_lag,
+                    "model": str(out / "fit" / fit_outputs[0]), "max_lag": max_lag,
                     "warmup": PIPELINE_WARMUP}
-    run_stage("validate", validate_cfg, ["validation.json", "correlations.csv"],
+    run_stage("validate", validate_cfg, ["validation.json"],
               lambda d: cmd_validate(validate_cfg, d, None, record()))
 
     validation = read_json(out / "validate" / "validation.json")

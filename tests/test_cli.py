@@ -18,6 +18,7 @@ from nlsid.polybasis import PolyMap, enumerate_monomials
 from nlsid.serialize import read_json, read_signal_record, write_json, write_signal_record
 from nlsid.signals import MultisineSpec, SignalRecord
 from nlsid.validate import ValidationReport
+from nlsid.volterra import VolterraModel
 
 
 def run_cli(*args):
@@ -310,7 +311,7 @@ def test_bla_and_fit_narx_flow(tmp_path):
     })
     bla_out = tmp_path / "bla"
     assert run_cli("bla", "--config", bla_cfg, "--out", str(bla_out)) == 0
-    assert (bla_out / "bla.csv").exists()
+    assert [p.name for p in bla_out.iterdir()] == ["bla.json"]
     payload = read_json(bla_out / "bla.json")
     assert len(payload["lines"]) == 40
 
@@ -331,6 +332,7 @@ def test_bla_and_fit_narx_flow(tmp_path):
     })
     val_out = tmp_path / "val"
     assert run_cli("validate", "--config", val_cfg, "--out", str(val_out)) == 0
+    assert [p.name for p in val_out.iterdir()] == ["validation.json"]
     report = read_json(val_out / "validation.json")
     assert report["fit_percent"] > 80.0
 
@@ -477,13 +479,28 @@ PIPE_CFG = {
 }
 
 
+def run_files(out: Path) -> list[str]:
+    return sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+
+
+def manifest_files(out: Path) -> list[str]:
+    """The files the manifest lists, and the manifest and the summary."""
+    listed = [o for entry in read_json(out / "manifest.json").values() for o in entry["outputs"]]
+    return sorted(listed + ["manifest.json", "pipeline_summary.json"])
+
+
 def test_pipeline_linear_verdict(tmp_path):
     cfg = write_config(tmp_path, "pipe.json", PIPE_CFG)
     out = tmp_path / "run"
     assert run_cli("pipeline", "--config", cfg, "--out", str(out)) == 0
     summary = read_json(out / "pipeline_summary.json")
     assert summary["verdict"] == "linear adequate"
-    assert (out / "manifest.json").exists()
+    # each result once: the spec only in simulate/, the BLA and the residual
+    # correlations only in their JSON reports
+    assert run_files(out) == manifest_files(out) == [
+        "analyze/analysis.json", "analyze/distortion.csv", "bla/bla.json", "fit/narx.json",
+        "manifest.json", "pipeline_summary.json", "simulate/multisine.json",
+        "simulate/record.csv", "simulate/record.json", "validate/validation.json"]
 
 
 def test_pipeline_nonlinear_verdict_and_resume(tmp_path):
@@ -546,6 +563,40 @@ def test_readme_pipeline_with_a_pnlss_fit_runs(tmp_path):
     assert run_cli("pipeline", "--config", cfg, "--out", str(tmp_path / "run")) == 0
     report = read_json(tmp_path / "run" / "fit" / "pnlss_fit_report.json")
     assert report["iterations"] == 30
+    assert run_files(tmp_path / "run") == manifest_files(tmp_path / "run")
+
+
+@pytest.mark.parametrize("deleted", ["fit/pnlss_fit_report.json", "simulate/multisine.json"])
+def test_pipeline_resume_rebuilds_a_deleted_output(tmp_path, deleted):
+    # a stage is skipped on resume only when every file it writes is there:
+    # the fit report and the spec that analyze, bla and the fit read
+    fit = {"type": "pnlss", "max_iterations": 3}
+    cfg = write_config(tmp_path, "pipe.json", dict(README_PIPE_CFG, fit=fit))
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "--config", cfg, "--out", str(out)) == 0
+    before = {rel: (out / rel).read_bytes() for rel in run_files(out)}
+    (out / deleted).unlink()
+    assert run_cli("pipeline", "--config", cfg, "--out", str(out), "--resume") == 0
+    assert {rel: (out / rel).read_bytes() for rel in run_files(out)} == before
+
+
+def test_fit_pnlss_with_an_output_polynomial_validates(tmp_path):
+    sim_cfg = {k: README_PIPE_CFG[k] for k in ("schema_version", "seed", "excitation", "system",
+                                               "noise", "num_periods", "discard_periods")}
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--config", write_config(tmp_path, "sim.json", sim_cfg),
+                   "--out", str(sim)) == 0
+    fit_cfg = write_config(tmp_path, "pnlss.json", {
+        "schema_version": 1, "record": str(sim / "record.csv"),
+        "spec": str(sim / "multisine.json"), "output_degree": 2, "max_iterations": 5})
+    assert run_cli("fit-pnlss", "--config", fit_cfg, "--out", str(tmp_path / "fit")) == 0
+    # F holds the 6 quadratic monomials of the 2 states and the input
+    model = read_json(tmp_path / "fit" / "pnlss.json")
+    assert len(model["Fout"]["exponents"]) == 6
+    val_cfg = write_config(tmp_path, "val.json", {
+        "schema_version": 1, "record": str(sim / "record.csv"),
+        "model": str(tmp_path / "fit" / "pnlss.json")})
+    assert run_cli("validate", "--config", val_cfg, "--out", str(tmp_path / "val")) == 0
 
 
 def test_pipeline_rerun_byte_identical_reports(tmp_path):
@@ -604,6 +655,7 @@ def test_pipeline_parses_the_record_once_per_pass(tmp_path, monkeypatch):
     ({"num_periods": 2, "max_lag": 45}, "'max_lag' (45)"),
     ({"fit": {"type": "narx", "na": 2048, "nb": 1, "degree": 1}}, "'na', 'nb'"),
     ({"fit": _volterra_fit(grid_points=1)}, "grid_points"),
+    ({"fit": {"type": "volterra", "memory": 2048}}, "too short for memory 2048"),
 ])
 def test_pipeline_bad_config_exit_2_before_any_stage(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, "pipe.json", dict(PIPE_CFG, **overrides))
@@ -635,6 +687,29 @@ def test_value_that_does_not_fit_the_data_exit_2(tmp_path, capsys, command, over
                    "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "bla", "fit-pnlss"])
+@pytest.mark.parametrize("grid", [{"period_samples": 512}, {"fs": 64.0}], ids=["N", "fs"])
+def test_record_off_the_spec_grid_exit_2(tmp_path, capsys, command, grid):
+    # unchecked, all three exit 0: a 256-sample spec's lines read on a
+    # 512-sample record sit at twice their labelled frequency; bla checks
+    # every record it is given
+    sim = dict(PIPE_CFG, system={"type": "static", "coefficients": [0.0, 1.0, 0.0, 0.3]},
+               num_periods=4)
+    del sim["fit"], sim["max_lag"]
+    for name, excitation in (("on", sim["excitation"]), ("off", dict(sim["excitation"], **grid))):
+        cfg = write_config(tmp_path, f"{name}.json", dict(sim, excitation=excitation))
+        assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / name)) == 0
+    on, off = (str(tmp_path / name / "record.csv") for name in ("on", "off"))
+    cfg = {"schema_version": 1, "spec": str(tmp_path / "on" / "multisine.json"),
+           **({"records": [on, off]} if command == "bla" else {"record": off})}
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", write_config(tmp_path, "c.json", cfg),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "off the grid of config field 'spec'" in err and "Traceback" not in err
     assert list(out.iterdir()) == []
 
 
@@ -735,6 +810,27 @@ def test_fit_narx_lag_past_the_record_exit_2(tmp_path, capsys):
     assert run_cli("fit-narx", "--config", cfg, "--out", str(out)) == 2
     assert "record of 64 samples is too short for lag 64" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["fit-volterra", "validate"])
+def test_volterra_memory_past_the_record_exit_2(tmp_path, capsys, command):
+    # unchecked, the fit failed on a non-symmetric h2 and validate in
+    # eval_volterra, both with exit 3
+    write_json(tmp_path / "volterra.json",
+               VolterraModel(40, 0.0, np.zeros(40), np.zeros((40, 40))).to_dict())
+    rng = np.random.default_rng(0)
+    write_signal_record(tmp_path / "rec.csv",
+                        SignalRecord(1.0, 16, 1, rng.normal(size=16), rng.normal(size=16)))
+    cfg = {"schema_version": 1, "record": str(tmp_path / "rec.csv"),
+           **({"memory": 40} if command == "fit-volterra"
+              else {"model": str(tmp_path / "volterra.json"), "max_lag": 1})}
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", write_config(tmp_path, "c.json", cfg),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    source = "config field 'memory'" if command == "fit-volterra" else "the model's memory"
+    assert f"record of 16 samples is too short for memory 40 ({source})" in err
+    assert "Traceback" not in err and list(out.iterdir()) == []
 
 
 def test_validate_divergence_names_the_step_and_no_value(tmp_path, capsys):

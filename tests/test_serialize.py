@@ -116,7 +116,7 @@ def reference_write_csv(path, header, columns):
     st.lists(st.sampled_from(["excited", "odd", "even", "noise"]), min_size=n, max_size=n))))
 def test_write_csv_bytes_equal_the_column_writer(tmp_path_factory, data):
     floats, ints, labels = data
-    # bla.csv-like floats, correlations.csv lags, the distortion.csv class column
+    # float and integer columns, and the distortion.csv class column
     columns = [floats, ints, np.array(labels, dtype=object), list(floats), ints + 0.5]
     header = ["f", "lag", "class", "f_list", "half"]
     out = tmp_path_factory.mktemp("csv")
